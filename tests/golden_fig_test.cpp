@@ -1,6 +1,9 @@
 // Golden-figure regression: a fast, deterministic slice of the figure
-// matrix (two write-heavy PARSEC profiles x the five paper schemes)
-// diffed scalar-by-scalar against the committed results/golden_figs.json.
+// matrix (two write-heavy PARSEC profiles x the five paper schemes), plus
+// a few address-remapping cells (stuck-bank redirect, Start-Gap wear
+// leveling with batching or write pausing) that the frozen reference
+// controller cannot model, diffed scalar-by-scalar against the committed
+// results/golden_figs.json.
 //
 // Every metric the figures are built from is a pure function of the seed,
 // so integer scalars must match exactly and doubles to 1e-9 relative —
@@ -23,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "tw/fault/fault.hpp"
 #include "tw/harness/experiment.hpp"
 #include "tw/pcm/params.hpp"
 #include "tw/workload/profiles.hpp"
@@ -67,12 +71,67 @@ void collect(const harness::RunMetrics& m, const std::string& prefix,
   flat[prefix + ".write_units"] = m.write_units;
   flat[prefix + ".write_energy_pj"] = m.write_energy_pj;
   flat[prefix + ".bits_per_write"] = static_cast<double>(m.bits_per_write);
+  // Scheduler counters: they move when dispatch decisions change even if
+  // the figure scalars happen not to.
+  flat[prefix + ".gap_moves"] = static_cast<double>(m.gap_moves);
+  flat[prefix + ".write_pauses"] = static_cast<double>(m.write_pauses);
+  flat[prefix + ".stuck_remaps"] = static_cast<double>(m.stuck_remaps);
+  flat[prefix + ".dispatch_rounds"] = static_cast<double>(m.dispatch_rounds);
+  flat[prefix + ".writes_batched"] = static_cast<double>(m.writes_batched);
 }
 
 /// Integer-valued keys compared exactly; the rest at 1e-9 relative.
 bool exact_key(const std::string& key) {
-  return key.ends_with(".writes") || key.ends_with(".reads") ||
-         key.ends_with(".sim_events");
+  for (const char* suffix :
+       {".writes", ".reads", ".sim_events", ".gap_moves", ".write_pauses",
+        ".stuck_remaps", ".dispatch_rounds", ".writes_batched"}) {
+    if (key.ends_with(suffix)) return true;
+  }
+  return false;
+}
+
+/// One address-remapping cell: a golden_config() variant, keyed
+/// "<label>/<workload>.<scheme>.<metric>".
+struct RemapCell {
+  const char* label;
+  const char* workload;
+  schemes::SchemeKind kind;
+  void (*tweak)(harness::SystemConfig&);
+};
+
+void stuck_bank(harness::SystemConfig& c) {
+  c.fault = fault::profile_config(fault::FaultProfile::kStuckBank);
+}
+void wear_leveling(harness::SystemConfig& c) {
+  c.controller.wear_leveling = true;
+  // A short interval so a golden-sized run moves the gap many times.
+  c.controller.start_gap.gap_write_interval = 4;
+}
+
+const std::vector<RemapCell>& remap_cells() {
+  static const std::vector<RemapCell> kCells = {
+      {"stuck-bank", "vips", schemes::SchemeKind::kDcw, stuck_bank},
+      {"stuck-bank", "vips", schemes::SchemeKind::kTetris, stuck_bank},
+      {"stuck-bank+wl", "vips", schemes::SchemeKind::kTetris,
+       [](harness::SystemConfig& c) {
+         stuck_bank(c);
+         wear_leveling(c);
+       }},
+      {"wl+batch4", "vips", schemes::SchemeKind::kTetris,
+       [](harness::SystemConfig& c) {
+         wear_leveling(c);
+         c.batch.max_lines = 4;
+       }},
+      {"wl+pause", "canneal", schemes::SchemeKind::kTetris,
+       [](harness::SystemConfig& c) {
+         wear_leveling(c);
+         c.controller.write_pausing = true;
+         // Read-dominant canneal only drains writes (and so only pauses
+         // them) once the strict write queue fills.
+         c.instructions_per_core = 1'000'000;
+       }},
+  };
+  return kCells;
 }
 
 std::map<std::string, double> run_golden_matrix() {
@@ -87,6 +146,17 @@ std::map<std::string, double> run_golden_matrix() {
         collect(m, wname + "." + std::string(schemes::scheme_name(kind)),
                 flat);
       }
+    }
+    for (const RemapCell& cell : remap_cells()) {
+      harness::SystemConfig cfg = golden_config();
+      cell.tweak(cfg);
+      const auto m = harness::run_system(
+          cfg, workload::profile_by_name(cell.workload), cell.kind);
+      EXPECT_TRUE(m.completed) << cell.label;
+      collect(m,
+              std::string(cell.label) + "/" + cell.workload + "." +
+                  std::string(schemes::scheme_name(cell.kind)),
+              flat);
     }
     return flat;
   }();
@@ -125,16 +195,15 @@ std::map<std::string, double> read_golden() {
   return flat;
 }
 
-/// Diff one measured matrix against the committed baseline (integer keys
-/// exact, doubles at 1e-9 relative). `tol` widens the double comparison
-/// for callers that assert exact bit-identity (tol = 0).
+/// Diff measured scalars against the committed baseline (integer keys
+/// exact, doubles at 1e-9 relative). Every measured key must be in the
+/// baseline; callers that measure the whole matrix also check sizes.
 void expect_matches_golden(const std::map<std::string, double>& measured,
                            const std::map<std::string, double>& golden) {
-  ASSERT_EQ(measured.size(), golden.size());
-  for (const auto& [key, want] : golden) {
-    const auto it = measured.find(key);
-    ASSERT_NE(it, measured.end()) << "missing scalar " << key;
-    const double got = it->second;
+  for (const auto& [key, got] : measured) {
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end()) << "scalar missing from baseline: " << key;
+    const double want = it->second;
     if (exact_key(key)) {
       EXPECT_EQ(got, want) << key;
     } else if (want == 0.0) {
@@ -158,6 +227,7 @@ TEST(GoldenFigures, KeyScalarsMatchCommittedBaseline) {
   ASSERT_FALSE(golden.empty())
       << "missing " << kGoldenFile
       << " — regenerate with TW_REGEN_GOLDEN=1";
+  ASSERT_EQ(measured.size(), golden.size());
   expect_matches_golden(measured, golden);
 }
 
