@@ -104,6 +104,26 @@ class IndexList {
     ++size_;
   }
 
+  /// Link `id` in front of `pos` (kNilIndex appends).
+  template <class Pool>
+  void insert_before(Pool& pool, u32 pos, u32 id) {
+    if (pos == kNilIndex) {
+      push_back(pool, id);
+      return;
+    }
+    ListLink& link = pool[id].*Link;
+    ListLink& at = pool[pos].*Link;
+    link.prev = at.prev;
+    link.next = pos;
+    if (at.prev != kNilIndex) {
+      (pool[at.prev].*Link).next = id;
+    } else {
+      head_ = id;
+    }
+    at.prev = id;
+    ++size_;
+  }
+
   template <class Pool>
   void erase(Pool& pool, u32 id) {
     TW_ASSERT(size_ > 0);

@@ -276,8 +276,7 @@ u64 config_hash(const SystemConfig& cfg) {
   h = mix(h, (cfg.controller.write_coalescing ? 1 : 0) |
                  (cfg.controller.read_forwarding ? 2 : 0) |
                  (cfg.controller.write_pausing ? 4 : 0) |
-                 (cfg.controller.wear_leveling ? 8 : 0) |
-                 (cfg.controller.row_hit_first ? 16 : 0));
+                 (cfg.controller.wear_leveling ? 8 : 0));
   h = mix(h, cfg.controller.pause_quantum);
   h = mix(h, cfg.controller.start_gap.region_lines);
   h = mix(h, cfg.controller.start_gap.gap_write_interval);

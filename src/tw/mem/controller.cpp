@@ -60,8 +60,8 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
       scheme_(scheme),
       reg_(registry),
       fault_(fault),
-      fault_remap_(fault != nullptr && fault->any_bank_stuck()),
       map_(pcm_cfg.geometry),
+      remap_(map_, cfg.wear_leveling, cfg.start_gap, fault),
       store_(pcm_cfg.geometry.units_per_line(), data_seed, ones_bias),
       banks_(map_.total_banks()),
       subarrays_(map_.total_subarrays()),
@@ -71,10 +71,6 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
       write_by_bank_(map_.total_banks()),
       subs_with_reads_((map_.total_subarrays() + 63) / 64, 0),
       banks_with_writes_((map_.total_banks() + 63) / 64, 0),
-      // Stuck-bank remapping moves requests' effective (bank, subarray)
-      // away from the decoded location, which only the exact age-ordered
-      // dispatch paths tolerate (same reason as wear leveling).
-      static_mapping_(!cfg.wear_leveling && !fault_remap_),
       open_row_(map_.total_banks()),
       active_write_(map_.total_banks()),
       paused_write_(map_.total_banks()),
@@ -126,6 +122,7 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
                        });
   }
   read_ready_.reserve(map_.total_subarrays());
+  pause_askers_.reserve(map_.total_banks());
   if (palp_on_) {
     for (auto& v : palp_active_) v.reserve(cfg_.palp.write_ways);
   }
@@ -133,11 +130,11 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
 
 // -- Node plumbing --------------------------------------------------------
 
-u32 Controller::make_node(MemoryRequest&& req, u32 bucket) {
+u32 Controller::make_node(MemoryRequest&& req, const Placement& at) {
   const u32 id = nodes_.alloc();
   ReqNode& n = nodes_[id];
   n.req = std::move(req);
-  n.bucket = bucket;
+  n.at = at;
   return id;
 }
 
@@ -149,14 +146,14 @@ MemoryRequest Controller::take_node(u32 id) {
 
 void Controller::link_read(u32 id) {
   read_age_.push_back(nodes_, id);
-  const u32 sub = nodes_[id].bucket;
+  const u32 sub = nodes_[id].at.sub;
   read_by_sub_[sub].push_back(nodes_, id);
   bitmap_set(subs_with_reads_, sub);
   read_q_peak_ = std::max(read_q_peak_, read_age_.size());
 }
 
 void Controller::unlink_read(u32 id) {
-  const u32 sub = nodes_[id].bucket;
+  const u32 sub = nodes_[id].at.sub;
   read_age_.erase(nodes_, id);
   read_by_sub_[sub].erase(nodes_, id);
   if (read_by_sub_[sub].empty()) bitmap_clear(subs_with_reads_, sub);
@@ -164,25 +161,20 @@ void Controller::unlink_read(u32 id) {
 
 void Controller::link_write(u32 id) {
   write_age_.push_back(nodes_, id);
-  const u32 bank = nodes_[id].bucket;
+  const u32 bank = nodes_[id].at.bank;
   write_by_bank_[bank].push_back(nodes_, id);
   bitmap_set(banks_with_writes_, bank);
   write_q_peak_ = std::max(write_q_peak_, write_age_.size());
 }
 
 void Controller::unlink_write(u32 id) {
-  const u32 bank = nodes_[id].bucket;
+  const u32 bank = nodes_[id].at.bank;
   write_age_.erase(nodes_, id);
   write_by_bank_[bank].erase(nodes_, id);
   if (write_by_bank_[bank].empty()) bitmap_clear(banks_with_writes_, bank);
 }
 
 // -- Open-row tracking ----------------------------------------------------
-
-bool Controller::row_hit(u32 bank, Addr phys) const {
-  const OpenRow& open = open_row_[bank];
-  return open.valid && open.row == map_.decode(phys).row;
-}
 
 void Controller::note_row_activate(u32 bank, Addr phys) {
   OpenRow& open = open_row_[bank];
@@ -203,49 +195,30 @@ bool Controller::enqueue(MemoryRequest req) {
   req.enqueue_tick = sim_.now();
   req.id = next_id_++;
 
+  // Requests are bucketed by where their line is served now. All queued
+  // requests to one line share that placement, so same-line lookups scan
+  // a single bank's write bucket.
+  const Placement at = remap_.locate(req.addr);
   if (req.is_write()) {
     TW_EXPECTS(req.data.units() == store_.units_per_line());
-    // Buckets are keyed by the *logical* address: identical to the
-    // physical location when the mapping is static (the only case the
-    // indexed paths consult them), and a harmless advisory grouping
-    // otherwise.
-    const u32 bank = map_.flat_bank(req.addr);
     if (cfg_.write_coalescing) {
-      if (static_mapping_) {
-        // Same-line writes necessarily share the bank: scan one bucket.
-        const BucketList& list = write_by_bank_[bank];
-        for (u32 id = list.head(); id != kNilIndex;
-             id = list.next(nodes_, id)) {
-          if (nodes_[id].req.addr == req.addr) {
-            nodes_[id].req.data = req.data;
-            c_coalesced_.inc();
-            if (trace::on<kCat>()) {
-              trace::emit_instant(kCat, trace::Op::kWriteCoalesce,
-                                  write_queue_track(cfg_.track_base), sim_.now(), req.id,
-                                  nodes_[id].req.id);
-            }
-            return true;
+      const BucketList& list = write_by_bank_[at.bank];
+      for (u32 id = list.head(); id != kNilIndex; id = list.next(nodes_, id)) {
+        if (nodes_[id].req.addr == req.addr) {
+          nodes_[id].req.data = req.data;
+          c_coalesced_.inc();
+          if (trace::on<kCat>()) {
+            trace::emit_instant(kCat, trace::Op::kWriteCoalesce,
+                                write_queue_track(cfg_.track_base), sim_.now(), req.id,
+                                nodes_[id].req.id);
           }
-        }
-      } else {
-        for (u32 id = write_age_.head(); id != kNilIndex;
-             id = write_age_.next(nodes_, id)) {
-          if (nodes_[id].req.addr == req.addr) {
-            nodes_[id].req.data = req.data;
-            c_coalesced_.inc();
-            if (trace::on<kCat>()) {
-              trace::emit_instant(kCat, trace::Op::kWriteCoalesce,
-                                  write_queue_track(cfg_.track_base), sim_.now(), req.id,
-                                  nodes_[id].req.id);
-            }
-            return true;
-          }
+          return true;
         }
       }
     }
     if (write_age_.size() >= cfg_.write_queue_entries) return false;
     const u64 req_id = req.id;
-    link_write(make_node(std::move(req), bank));
+    link_write(make_node(std::move(req), at));
     if (trace::on<kCat>()) {
       trace::emit_instant(kCat, trace::Op::kWriteEnqueue, write_queue_track(cfg_.track_base),
                           sim_.now(), req_id, write_age_.size());
@@ -257,22 +230,11 @@ bool Controller::enqueue(MemoryRequest req) {
       // bucket list preserves relative queue order, so scanning it
       // backwards finds the same entry.
       u32 match = kNilIndex;
-      if (static_mapping_) {
-        const BucketList& list = write_by_bank_[map_.flat_bank(req.addr)];
-        for (u32 id = list.tail(); id != kNilIndex;
-             id = list.prev(nodes_, id)) {
-          if (nodes_[id].req.addr == req.addr) {
-            match = id;
-            break;
-          }
-        }
-      } else {
-        for (u32 id = write_age_.tail(); id != kNilIndex;
-             id = write_age_.prev(nodes_, id)) {
-          if (nodes_[id].req.addr == req.addr) {
-            match = id;
-            break;
-          }
+      const BucketList& list = write_by_bank_[at.bank];
+      for (u32 id = list.tail(); id != kNilIndex; id = list.prev(nodes_, id)) {
+        if (nodes_[id].req.addr == req.addr) {
+          match = id;
+          break;
         }
       }
       if (match != kNilIndex) {
@@ -301,8 +263,7 @@ bool Controller::enqueue(MemoryRequest req) {
     }
     if (read_age_.size() >= cfg_.read_queue_entries) return false;
     const u64 req_id = req.id;
-    const u32 sub = map_.flat_subarray(req.addr);
-    link_read(make_node(std::move(req), sub));
+    link_read(make_node(std::move(req), at));
     if (trace::on<kCat>()) {
       trace::emit_instant(kCat, trace::Op::kReadEnqueue, read_queue_track(cfg_.track_base),
                           sim_.now(), req_id, read_age_.size());
@@ -319,17 +280,6 @@ bool Controller::enqueue(MemoryRequest req) {
 bool Controller::idle() const {
   return read_age_.empty() && write_age_.empty() && inflight_ == 0 &&
          paused_count_ == 0;
-}
-
-Addr Controller::physical_of(Addr logical_line_addr) {
-  if (!cfg_.wear_leveling) return logical_line_addr;
-  const u64 li = map_.line_index(logical_line_addr);
-  const u64 n = cfg_.start_gap.region_lines;
-  const u64 region = li / n;
-  const u64 within = li % n;
-  const u64 slot = leveler_for(region).map(within);
-  const u64 phys_line = region * (n + 1) + slot;
-  return phys_line * map_.line_bytes();
 }
 
 u64 Controller::gap_moves() const { return c_gap_moves_.value(); }
@@ -349,26 +299,6 @@ MemoryRequest Controller::take_read_slot(u32 slot) {
   MemoryRequest req = std::move(read_pool_[slot]);
   free_read_slots_.push_back(slot);
   return req;
-}
-
-StartGapLeveler& Controller::leveler_for(u64 region) {
-  // Regions are dense under the bounded trace address spaces: a flat
-  // array replaces the reference's unordered_map lookup on the write
-  // issue path.
-  if (region >= levelers_.size()) levelers_.resize(region + 1);
-  if (!levelers_[region].has_value()) levelers_[region].emplace(cfg_.start_gap);
-  return *levelers_[region];
-}
-
-bool Controller::read_waiting_for_subarray(u32 subarray) {
-  if (static_mapping_) return !read_by_sub_[subarray].empty();
-  for (u32 id = read_age_.head(); id != kNilIndex;
-       id = read_age_.next(nodes_, id)) {
-    if (eff_sub(physical_of(nodes_[id].req.addr)) == subarray) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void Controller::schedule_dispatch() {
@@ -397,15 +327,7 @@ void Controller::dispatch() {
                         read_age_.size(), write_age_.size());
   }
 
-  // Reads first (FRFCFS priority). The indexed path needs the ready set
-  // to be stable across the sweep: write pausing can free a subarray
-  // mid-sweep (a pause boundary may land exactly on `now`), so it falls
-  // back to the exact age-ordered walk, as does a non-static mapping.
-  if (static_mapping_ && !cfg_.write_pausing) {
-    dispatch_reads_indexed(now);
-  } else {
-    dispatch_reads_exact(now);
-  }
+  dispatch_reads(now);  // reads first (FRFCFS priority)
 
   if (draining_ && write_age_.size() <= cfg_.drain_low_watermark) {
     set_draining(false);
@@ -414,62 +336,28 @@ void Controller::dispatch() {
       draining_ ||
       (cfg_.drain == ControllerConfig::DrainPolicy::kOpportunistic &&
        read_age_.empty() && !write_age_.empty());
-  if (issue_writes) {
-    if (static_mapping_) {
-      dispatch_writes_indexed(now);
-    } else {
-      dispatch_writes_exact(now);
-    }
-  }
+  if (issue_writes) dispatch_writes(now);
 
   if (paused_count_ > 0) {
     for (u32 bank = 0; bank < paused_write_.size(); ++bank) {
       if (paused_write_[bank].has_value() && banks_[bank].idle_at(now) &&
           subarrays_[paused_write_[bank]->subarray].idle_at(now) &&
-          !read_waiting_for_subarray(paused_write_[bank]->subarray)) {
+          read_by_sub_[paused_write_[bank]->subarray].empty()) {
         resume_paused(bank);
       }
     }
   }
 }
 
-u32 Controller::read_cursor(u32 sub, bool* hit_out) const {
-  const BucketList& list = read_by_sub_[sub];
-  const u32 head = list.head();
-  *hit_out = false;
-  if (head == kNilIndex || !cfg_.row_hit_first) return head;
-  const u32 bank = sub / map_.subarrays_per_bank();
-  for (u32 id = head; id != kNilIndex; id = list.next(nodes_, id)) {
-    if (row_hit(bank, nodes_[id].req.addr)) {
-      *hit_out = true;
-      return id;
-    }
-  }
-  return head;
-}
-
-u32 Controller::write_cursor(u32 bank, u32 from, Tick now,
-                             bool* hit_out) const {
+u32 Controller::write_cursor(u32 bank, u32 from, Tick now) const {
   const BucketList& list = write_by_bank_[bank];
-  u32 first_ready = kNilIndex;
   for (u32 id = from; id != kNilIndex; id = list.next(nodes_, id)) {
-    const Addr addr = nodes_[id].req.addr;  // physical == logical here
-    if (!subarrays_[map_.flat_subarray(addr)].idle_at(now)) continue;
-    if (!cfg_.row_hit_first) {
-      *hit_out = false;
-      return id;
-    }
-    if (row_hit(bank, addr)) {
-      *hit_out = true;
-      return id;
-    }
-    if (first_ready == kNilIndex) first_ready = id;
+    if (subarrays_[nodes_[id].at.sub].idle_at(now)) return id;
   }
-  *hit_out = false;
-  return first_ready;
+  return kNilIndex;
 }
 
-void Controller::dispatch_reads_indexed(Tick now) {
+void Controller::dispatch_reads(Tick now) {
   // Issue every ready read in age order. Within one dispatch, issuing
   // only occupies the issuing subarray (the ready set shrinks
   // monotonically) and the space callback can only append younger
@@ -480,22 +368,41 @@ void Controller::dispatch_reads_indexed(Tick now) {
   // The outer loop always re-collects (new arrivals during the batch are
   // younger than every batch element, so they issue strictly after it —
   // on the next pass) and terminates on an empty collection; the common
-  // tail is one empty bitmap scan. Two cases additionally cut a batch
-  // short to force the fresh pass early: a zero-latency service leaves
-  // the issued subarray ready with a new head, and under row-hit-first a
-  // younger arrival can outrank queued misses.
+  // tail is one empty bitmap scan. A zero-latency service additionally
+  // cuts a batch short to force the fresh pass early: it leaves the
+  // issued subarray ready with a new head.
+  //
+  // Write pausing folds into the collection. The oldest read blocked on a
+  // subarray asks the bank's in-service write to pause; the outcome
+  // depends only on that bank's write, so asking once per blocked bucket
+  // matches asking for every blocked read of an age-ordered sweep. A
+  // boundary landing on `now` frees the subarray at once, but only for
+  // the younger reads behind the asker: the sweep has already passed it,
+  // so it waits for the next dispatch.
+  const u32 spb = map_.subarrays_per_bank();
+  pause_askers_.clear();
   for (;;) {
     read_ready_.clear();
     bitmap_for_each(subs_with_reads_, [&](u32 sub) {
-      if (!subarrays_[sub].idle_at(now)) return;
-      bool hit = false;
-      const u32 id = read_cursor(sub, &hit);
-      if (id != kNilIndex) read_ready_.push_back({id, sub, hit});
+      const BucketList& list = read_by_sub_[sub];
+      u32 id = list.head();
+      if (!subarrays_[sub].idle_at(now)) {
+        if (!cfg_.write_pausing || !try_pause(sub / spb, sub) ||
+            !subarrays_[sub].idle_at(now)) {
+          return;
+        }
+        pause_askers_.push_back(id);
+      }
+      if (!pause_askers_.empty() &&
+          std::find(pause_askers_.begin(), pause_askers_.end(), id) !=
+              pause_askers_.end()) {
+        id = list.next(nodes_, id);
+      }
+      if (id != kNilIndex) read_ready_.push_back({id, sub});
     });
     if (read_ready_.empty()) break;
     std::sort(read_ready_.begin(), read_ready_.end(),
               [&](const ReadCursor& a, const ReadCursor& b) {
-                if (a.hit != b.hit) return a.hit;
                 return nodes_[a.node].req.id < nodes_[b.node].req.id;
               });
     // PALP holds reads back at issue time (a skipped cursor stays linked
@@ -506,64 +413,55 @@ void Controller::dispatch_reads_indexed(Tick now) {
     for (const ReadCursor& cur : read_ready_) {
       const u32 sub = cur.sub;
       if (palp_on_) {
-        const u32 bank = sub / map_.subarrays_per_bank();
+        const u32 bank = sub / spb;
         if (!palp_read_admissible(bank, now)) {
           note_palp_stall(bank, now);
           continue;
         }
       }
       unlink_read(cur.node);
-      issue_read(take_node(cur.node));
+      issue_read(cur.node);
       issued_any = true;
       notify_space();
-      if (cfg_.row_hit_first || subarrays_[sub].idle_at(now)) break;
+      if (subarrays_[sub].idle_at(now)) break;
     }
     if (!issued_any) break;
   }
 }
 
-void Controller::dispatch_reads_exact(Tick now) {
-  u32 id = read_age_.head();
-  while (id != kNilIndex) {
-    const u32 nxt = read_age_.next(nodes_, id);
-    const Addr phys = physical_of(nodes_[id].req.addr);
-    const u32 subarray = eff_sub(phys);
-    if (subarrays_[subarray].idle_at(now)) {
-      if (palp_on_ && !palp_read_admissible(eff_bank(phys), now)) {
-        // Partition free but the pump's read-while-write cap is spent:
-        // the read waits for a completion to re-trigger dispatch.
-        note_palp_stall(eff_bank(phys), now);
-      } else {
-        unlink_read(id);
-        issue_read(take_node(id));
-        notify_space();
-      }
-    } else if (cfg_.write_pausing) {
-      try_pause(eff_bank(phys), subarray);
-    }
-    id = nxt;
-  }
-}
-
-void Controller::dispatch_writes_indexed(Tick now) {
+void Controller::dispatch_writes(Tick now) {
   // One cursor per ready bank (idle, unpaused, non-empty bucket), then a
-  // k-way min-selection by age. Issuing on one bank never invalidates
-  // another bank's cursor within a dispatch — distinct banks own
-  // disjoint subarrays — so only the issuing bank's cursor is refreshed.
+  // k-way min-selection by age: the issue order of an age-ordered sweep
+  // over the whole queue. Issuing on one bank never invalidates another
+  // bank's cursor within a dispatch — distinct banks own disjoint
+  // subarrays — so only the issuing bank's cursor is refreshed. A gap
+  // movement is the exception (it relocates a line and occupies its
+  // destination bank), so it rebuilds every cursor. Like the sweep, a
+  // single issue moves on past itself: writes up to `passed` stay passed
+  // over even if the move made them issuable. A batch issue restarts the
+  // sweep from the head.
   struct Cursor {
     u32 node;
     u32 bank;
-    bool hit;
   };
   InlineVec<Cursor, 64> ready;
-  bitmap_for_each(banks_with_writes_, [&](u32 bank) {
-    if (!bank_ready_for_write(bank, now) || paused_write_[bank].has_value()) {
-      return;
-    }
-    bool hit = false;
-    const u32 id = write_cursor(bank, write_by_bank_[bank].head(), now, &hit);
-    if (id != kNilIndex) ready.push_back({id, bank, hit});
-  });
+  u64 passed = 0;  // req ids <= passed were passed over (0 = none)
+  const auto collect = [&] {
+    ready.clear();
+    bitmap_for_each(banks_with_writes_, [&](u32 bank) {
+      if (!bank_ready_for_write(bank, now) || paused_write_[bank].has_value()) {
+        return;
+      }
+      const BucketList& list = write_by_bank_[bank];
+      u32 from = list.head();
+      while (from != kNilIndex && nodes_[from].req.id <= passed) {
+        from = list.next(nodes_, from);
+      }
+      const u32 id = write_cursor(bank, from, now);
+      if (id != kNilIndex) ready.push_back({id, bank});
+    });
+  };
+  collect();
 
   while (!ready.empty()) {
     // The strict policy stops the sweep the moment draining clears.
@@ -573,17 +471,17 @@ void Controller::dispatch_writes_indexed(Tick now) {
     }
     u32 best = 0;
     for (u32 i = 1; i < ready.size(); ++i) {
-      const bool better =
-          (ready[i].hit != ready[best].hit)
-              ? ready[i].hit
-              : nodes_[ready[i].node].req.id < nodes_[ready[best].node].req.id;
-      if (better) best = i;
+      if (nodes_[ready[i].node].req.id < nodes_[ready[best].node].req.id) {
+        best = i;
+      }
     }
     const Cursor cur = ready[best];
     ready[best] = ready[ready.size() - 1];
     ready.pop_back();
 
     const u32 bank = cur.bank;
+    const u64 issued_id = nodes_[cur.node].req.id;
+    const u64 gap_moves = c_gap_moves_.value();
     u32 resume_from = kNilIndex;
     // A multi-line batch packs against the full bank budget, so under
     // PALP it needs the pump exclusively; while partition writes are
@@ -598,8 +496,10 @@ void Controller::dispatch_writes_indexed(Tick now) {
       // global queue by bank only). Under PALP the gather is
       // spread-first: prefer lines in distinct partitions (overlap-
       // friendly schedules leave the other partitions' sense amps free
-      // for reads), then fill the remainder in age order.
-      std::vector<MemoryRequest> batch;
+      // for reads), then fill the remainder in age order. Members are
+      // chained through their vacated bucket link.
+      BucketList& list = write_by_bank_[bank];
+      BucketList batch;
       if (palp_on_) {
         const u32 spb = map_.subarrays_per_bank();
         const u32 sub_base = bank * spb;
@@ -609,8 +509,8 @@ void Controller::dispatch_writes_indexed(Tick now) {
         const std::span<u64> smask{seen.data(), seen.size()};
         for (u32 id = cur.node;
              id != kNilIndex && chosen.size() < cfg_.write_batch;
-             id = write_by_bank_[bank].next(nodes_, id)) {
-          const u32 local = map_.flat_subarray(nodes_[id].req.addr) - sub_base;
+             id = list.next(nodes_, id)) {
+          const u32 local = nodes_[id].at.sub - sub_base;
           if (bitmap_test(smask, local)) continue;
           bitmap_set(smask, local);
           chosen.push_back(id);
@@ -618,15 +518,10 @@ void Controller::dispatch_writes_indexed(Tick now) {
         if (chosen.size() < cfg_.write_batch) {
           for (u32 id = cur.node;
                id != kNilIndex && chosen.size() < cfg_.write_batch;
-               id = write_by_bank_[bank].next(nodes_, id)) {
-            bool taken = false;
-            for (const u32 c : chosen) {
-              if (c == id) {
-                taken = true;
-                break;
-              }
+               id = list.next(nodes_, id)) {
+            if (std::find(chosen.begin(), chosen.end(), id) == chosen.end()) {
+              chosen.push_back(id);
             }
-            if (!taken) chosen.push_back(id);
           }
         }
         // Restore age order (node req ids are monotonic in arrival).
@@ -635,120 +530,97 @@ void Controller::dispatch_writes_indexed(Tick now) {
         });
         for (const u32 id : chosen) {
           unlink_write(id);
-          batch.push_back(take_node(id));
+          batch.push_back(nodes_, id);
         }
         // Spread picking leaves skipped older entries on the list, so
         // the zero-latency re-derive below rescans from the head.
-        resume_from = write_by_bank_[bank].head();
+        resume_from = list.head();
       } else {
         u32 id = cur.node;
         while (id != kNilIndex && batch.size() < cfg_.write_batch) {
-          const u32 nxt = write_by_bank_[bank].next(nodes_, id);
+          const u32 nxt = list.next(nodes_, id);
           unlink_write(id);
-          batch.push_back(take_node(id));
+          batch.push_back(nodes_, id);
           id = nxt;
         }
         resume_from = id;
       }
       if (batch.size() > 1) {
-        issue_write_batch(std::move(batch));
+        issue_write_batch(batch.head());
       } else {
-        issue_write(std::move(batch.front()));
+        issue_write(batch.head());
       }
     } else {
       resume_from = write_by_bank_[bank].next(nodes_, cur.node);
       unlink_write(cur.node);
-      issue_write(take_node(cur.node));
+      issue_write(cur.node);
     }
     notify_space();
     if (draining_ && write_age_.size() <= cfg_.drain_low_watermark) {
       set_draining(false);
     }
 
+    if (c_gap_moves_.value() != gap_moves || (can_batch && passed != 0)) {
+      passed = can_batch ? 0 : issued_id;
+      collect();
+      continue;
+    }
     // Normally the bank is now busy until the service completes and it
     // drops out of this round. A zero-latency service plan (e.g. a
     // preset scheme with no RESETs pending) leaves it idle, in which
     // case the age-ordered sweep would keep walking: re-derive this
     // bank's cursor from the issued node's successor (earlier entries
     // were unissuable, and nothing un-occupies within a dispatch).
-    // row_hit_first rescans from the head because the open row changed.
     // Under PALP the bank re-arms whenever the pump still has a free
     // way — that is the point: a second partition write can start while
     // the first is in flight.
-    if (bank_ready_for_write(bank, now) &&
+    if (resume_from != kNilIndex && bank_ready_for_write(bank, now) &&
         !paused_write_[bank].has_value()) {
-      const u32 from =
-          cfg_.row_hit_first ? write_by_bank_[bank].head() : resume_from;
-      if (from != kNilIndex) {
-        bool hit = false;
-        const u32 id = write_cursor(bank, from, now, &hit);
-        if (id != kNilIndex) ready.push_back({id, bank, hit});
-      }
+      const u32 id = write_cursor(bank, resume_from, now);
+      if (id != kNilIndex) ready.push_back({id, bank});
     }
   }
 }
 
-void Controller::dispatch_writes_exact(Tick now) {
-  u32 id = write_age_.head();
-  while (id != kNilIndex) {
-    if (!draining_ &&
-        cfg_.drain != ControllerConfig::DrainPolicy::kOpportunistic) {
-      break;
-    }
-    u32 nxt = write_age_.next(nodes_, id);
-    const Addr phys_w = physical_of(nodes_[id].req.addr);
-    const u32 bank = eff_bank(phys_w);
-    const u32 subarray_w = eff_sub(phys_w);
-    if (bank_ready_for_write(bank, now) &&
-        subarrays_[subarray_w].idle_at(now) &&
-        !paused_write_[bank].has_value()) {
-      unlink_write(id);
-      MemoryRequest req = take_node(id);
-      if (cfg_.write_batch > 1 &&
-          (!palp_on_ || pumps_[bank].can_admit_exclusive())) {
-        std::vector<MemoryRequest> batch;
-        batch.push_back(std::move(req));
-        u32 scan = nxt;
-        while (scan != kNilIndex && batch.size() < cfg_.write_batch) {
-          const u32 snxt = write_age_.next(nodes_, scan);
-          if (eff_bank(physical_of(nodes_[scan].req.addr)) == bank) {
-            unlink_write(scan);
-            batch.push_back(take_node(scan));
+void Controller::relocate_queued(const Relocation& r) {
+  const Placement to = remap_.place(r.dst);
+  const Placement from = remap_.place(r.src);
+  const auto move = [&](std::vector<BucketList>& buckets,
+                        std::vector<u64>& nonempty, u32 src, u32 dst) {
+    for (u32 id = buckets[src].head(); id != kNilIndex;) {
+      const u32 nxt = buckets[src].next(nodes_, id);
+      if (nodes_[id].at.phys == r.src) {
+        nodes_[id].at = to;
+        if (src != dst) {
+          buckets[src].erase(nodes_, id);
+          // Keep the destination bucket in age order.
+          BucketList& list = buckets[dst];
+          u32 pos = list.head();
+          while (pos != kNilIndex && nodes_[pos].req.id < nodes_[id].req.id) {
+            pos = list.next(nodes_, pos);
           }
-          scan = snxt;
+          list.insert_before(nodes_, pos, id);
+          bitmap_set(nonempty, dst);
         }
-        if (batch.size() > 1) {
-          issue_write_batch(std::move(batch));
-        } else {
-          issue_write(std::move(batch.front()));
-        }
-        // Legacy restart (reference: `it = write_q_.begin()` after the
-        // batch erase): gap moves triggered by the issue can remap older
-        // skipped entries onto now-idle banks, so rescan from the head.
-        nxt = write_age_.head();
-      } else {
-        issue_write(std::move(req));
       }
-      notify_space();
-      if (draining_ && write_age_.size() <= cfg_.drain_low_watermark) {
-        set_draining(false);
-      }
+      id = nxt;
     }
-    id = nxt;
-  }
+    if (buckets[src].empty()) bitmap_clear(nonempty, src);
+  };
+  move(write_by_bank_, banks_with_writes_, from.bank, to.bank);
+  move(read_by_sub_, subs_with_reads_, from.sub, to.sub);
 }
 
 // -- Fault injection ------------------------------------------------------
 
-void Controller::note_stuck_remap(Addr phys) {
-  if (!fault_remap_) return;
-  const u32 raw = map_.flat_bank(phys);
-  const u32 eff = fault_->remap_bank(raw);
-  if (eff == raw) return;
+void Controller::note_stuck_remap(const Placement& at) {
+  if (!remap_.redirects()) return;
+  const u32 raw = map_.flat_bank(at.phys);
+  if (at.bank == raw) return;
   c_stuck_remaps_.inc();
   if (trace::on<kFaultCat>()) {
     trace::emit_instant(kFaultCat, trace::Op::kStuckRemap, fault_track(cfg_.track_base),
-                        sim_.now(), raw, eff);
+                        sim_.now(), raw, at.bank);
   }
 }
 
@@ -857,6 +729,37 @@ void Controller::complete_palp_write(u32 bank, u64 epoch) {
   TW_FAIL("PALP completion epoch not found");
 }
 
+Tick Controller::account_write(const Placement& at,
+                               const schemes::ServicePlan& plan, Tick now) {
+  c_writes_.inc();
+  if (plan.silent) c_silent_.inc();
+  c_flipped_units_.inc(plan.flipped_units);
+  if (plan.enc.active) {
+    c_enc_writes_.inc();
+    c_enc_coded_units_.inc(plan.enc.coded_units);
+    c_enc_tag_bits_.inc(plan.enc.tag_bits);
+    if (trace::on<kEncodeCat>()) {
+      trace::emit_instant(kEncodeCat, trace::Op::kEncodeLine,
+                          encode_track(cfg_.track_base, at.bank), now,
+                          plan.enc.coded_units, plan.enc.tag_bits);
+    }
+  }
+  energy_.add_write(plan.programmed);
+  if (plan.background.total() > 0) {
+    energy_.add_write(plan.background);
+    wear_.record(at.phys, plan.background);
+  }
+  if (plan.read_before_write) {
+    energy_.add_read(store_.units_per_line() * pcm_.geometry.data_unit_bits);
+  }
+  wear_.record(at.phys, plan.programmed);
+  const Tick extra = apply_line_faults(at.phys, plan);
+  a_write_units_.add(plan.write_units);
+  if (plan.power_util > 0.0) a_power_util_.add(plan.power_util);
+  note_row_activate(at.bank, at.phys);
+  return extra;
+}
+
 Tick Controller::apply_line_faults(Addr phys,
                                    const schemes::ServicePlan& plan) {
   if (fault_ == nullptr) return 0;
@@ -889,12 +792,14 @@ Tick Controller::apply_line_faults(Addr phys,
 
 // -- Device issue paths ---------------------------------------------------
 
-void Controller::issue_read(MemoryRequest req) {
+void Controller::issue_read(u32 id) {
   const Tick now = sim_.now();
-  const Addr phys = physical_of(req.addr);
-  const u32 subarray = eff_sub(phys);
-  const u32 bank = eff_bank(phys);
-  note_stuck_remap(phys);
+  const Placement at = nodes_[id].at;
+  MemoryRequest req = take_node(id);
+  const Addr phys = at.phys;
+  const u32 subarray = at.sub;
+  const u32 bank = at.bank;
+  note_stuck_remap(at);
   const Tick service = scheme_.read_latency() + cfg_.read_bus_time;
   subarrays_[subarray].occupy(now, service);
   ++inflight_;
@@ -938,15 +843,18 @@ void Controller::issue_read(MemoryRequest req) {
       sim::Priority::kDeviceComplete);
 }
 
-void Controller::issue_write(MemoryRequest req, Tick service_override) {
+void Controller::issue_write(u32 id) {
   const Tick now = sim_.now();
-  const Addr phys = physical_of(req.addr);
-  const u32 bank = eff_bank(phys);
-  const u32 subarray = eff_sub(phys);
+  const Placement at = nodes_[id].at;
+  MemoryRequest req = take_node(id);
+  const Addr logical = req.addr;
+  const Addr phys = at.phys;
+  const u32 bank = at.bank;
+  const u32 subarray = at.sub;
 
-  Tick service = service_override;
-  if (service == 0) {
-    note_stuck_remap(phys);
+  note_stuck_remap(at);
+  Tick service = 0;
+  {  // planning scope: the trace context ends with it
     pcm::LineBuf& line = store_.line(phys);
     // The context hands the analysis stage (packer, FSM expansion) an
     // absolute time base + bank track for its own emissions.
@@ -959,36 +867,9 @@ void Controller::issue_write(MemoryRequest req, Tick service_override) {
     const double bscale =
         palp_on_ ? begin_palp_plan_scope(now) : begin_plan_scope(now);
     const schemes::ServicePlan plan = scheme_.plan_write(line, req.data);
-    service = plan.latency;
-
-    c_writes_.inc();
-    if (plan.silent) c_silent_.inc();
-    c_flipped_units_.inc(plan.flipped_units);
-    if (plan.enc.active) {
-      c_enc_writes_.inc();
-      c_enc_coded_units_.inc(plan.enc.coded_units);
-      c_enc_tag_bits_.inc(plan.enc.tag_bits);
-      if (trace::on<kEncodeCat>()) {
-        trace::emit_instant(kEncodeCat, trace::Op::kEncodeLine,
-                            encode_track(cfg_.track_base, bank), now,
-                            plan.enc.coded_units, plan.enc.tag_bits);
-      }
-    }
-    energy_.add_write(plan.programmed);
-    if (plan.background.total() > 0) {
-      energy_.add_write(plan.background);
-      wear_.record(phys, plan.background);
-    }
-    if (plan.read_before_write) {
-      energy_.add_read(store_.units_per_line() * pcm_.geometry.data_unit_bits);
-    }
-    wear_.record(phys, plan.programmed);
-    service += apply_line_faults(phys, plan);
+    service = plan.latency + account_write(at, plan, now);
     end_plan_scope(bscale);
-    a_write_units_.add(plan.write_units);
     a_write_service_.add(to_ns(service));
-    if (plan.power_util > 0.0) a_power_util_.add(plan.power_util);
-    note_row_activate(bank, phys);
   }
 
   if (palp_on_) {
@@ -1027,15 +908,7 @@ void Controller::issue_write(MemoryRequest req, Tick service_override) {
     sim_.schedule_in(
         service, [this, bank, epoch] { complete_palp_write(bank, epoch); },
         sim::Priority::kDeviceComplete);
-
-    if (cfg_.wear_leveling && service_override == 0) {
-      const u64 region = map_.line_index(palp_active_[bank].back().req.addr) /
-                         cfg_.start_gap.region_lines;
-      StartGapLeveler& leveler = leveler_for(region);
-      if (const auto move = leveler.on_write()) {
-        apply_gap_move(region, *move);
-      }
-    }
+    if (const auto move = remap_.on_write(logical)) apply_gap_move(*move);
     return;
   }
 
@@ -1061,35 +934,29 @@ void Controller::issue_write(MemoryRequest req, Tick service_override) {
   sim_.schedule_in(
       service, [this, bank, epoch] { complete_write(bank, epoch); },
       sim::Priority::kDeviceComplete);
-
-  if (cfg_.wear_leveling && service_override == 0) {
-    const u64 region = map_.line_index(active_write_[bank]->req.addr) /
-                       cfg_.start_gap.region_lines;
-    StartGapLeveler& leveler = leveler_for(region);
-    if (const auto move = leveler.on_write()) {
-      apply_gap_move(region, *move);
-    }
-  }
+  if (const auto move = remap_.on_write(logical)) apply_gap_move(*move);
 }
 
-void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
-  TW_EXPECTS(reqs.size() >= 2);
+void Controller::issue_write_batch(u32 head) {
   const Tick now = sim_.now();
-  const u32 bank = eff_bank(physical_of(reqs.front().addr));
+  const u32 bank = nodes_[head].at.bank;
 
   // Scratch for the scheme call: batches are bounded by write_batch
   // (small), so these stay in inline storage on the steady-state path.
+  // Member placements are read once, before any member's gap move.
+  InlineVec<u32, 16> ids;
   InlineVec<pcm::LineBuf*, 16> lines;
   InlineVec<pcm::LogicalLine, 16> datas;
-  InlineVec<Addr, 16> phys;
-  for (const auto& r : reqs) {
-    const Addr p = physical_of(r.addr);
-    TW_ASSERT(eff_bank(p) == bank);
-    phys.push_back(p);
-    (void)store_.line(p);
-    datas.push_back(r.data);
+  InlineVec<Placement, 16> at;
+  for (u32 id = head; id != kNilIndex; id = nodes_[id].by_bucket.next) {
+    TW_ASSERT(nodes_[id].at.bank == bank);
+    ids.push_back(id);
+    at.push_back(nodes_[id].at);
+    (void)store_.line(at.back().phys);
+    datas.push_back(nodes_[id].req.data);
   }
-  for (const Addr p : phys) lines.push_back(&store_.line(p));
+  TW_EXPECTS(ids.size() >= 2);
+  for (const Placement& p : at) lines.push_back(&store_.line(p.phys));
 
   trace::ScopedContext tctx(now, bank_track(cfg_.track_base, bank));
   const double bscale = begin_plan_scope(now);
@@ -1099,7 +966,7 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
   InlineVec<u32, 16> parts;
   if (palp_on_) {
     const u32 sub_base0 = bank * map_.subarrays_per_bank();
-    for (const Addr p : phys) parts.push_back(eff_sub(p) - sub_base0);
+    for (const Placement& p : at) parts.push_back(p.sub - sub_base0);
   }
   const schemes::BatchServicePlan batch =
       palp_on_ ? scheme_.plan_write_batch({lines.data(), lines.size()},
@@ -1107,10 +974,10 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
                                           {parts.data(), parts.size()})
                : scheme_.plan_write_batch({lines.data(), lines.size()},
                                           {datas.data(), datas.size()});
-  TW_ASSERT(batch.per_line.size() == reqs.size());
+  TW_ASSERT(batch.per_line.size() == ids.size());
   // Batch-occupancy metrics: how many lines actually shared one packed
   // schedule and how full that schedule was (0 for serializing schemes).
-  a_batch_lines_.add(static_cast<double>(reqs.size()));
+  a_batch_lines_.add(static_cast<double>(ids.size()));
   if (batch.packed_lines > 0 && batch.occupancy > 0.0) {
     a_batch_occupancy_.add(batch.occupancy);
   }
@@ -1118,48 +985,18 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
   // Fault pricing extends the whole batch's bank occupancy: the retry
   // sub-requests of every member line run on the shared charge pump.
   Tick fault_extra = 0;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     const schemes::ServicePlan& plan = batch.per_line[i];
-    note_stuck_remap(phys[i]);
-    c_writes_.inc();
+    note_stuck_remap(at[i]);
     c_batched_.inc();
-    if (plan.silent) c_silent_.inc();
-    c_flipped_units_.inc(plan.flipped_units);
-    if (plan.enc.active) {
-      c_enc_writes_.inc();
-      c_enc_coded_units_.inc(plan.enc.coded_units);
-      c_enc_tag_bits_.inc(plan.enc.tag_bits);
-      if (trace::on<kEncodeCat>()) {
-        trace::emit_instant(kEncodeCat, trace::Op::kEncodeLine,
-                            encode_track(cfg_.track_base, bank), now,
-                            plan.enc.coded_units, plan.enc.tag_bits);
-      }
-    }
-    energy_.add_write(plan.programmed);
-    if (plan.background.total() > 0) {
-      energy_.add_write(plan.background);
-      wear_.record(phys[i], plan.background);
-    }
-    if (plan.read_before_write) {
-      energy_.add_read(store_.units_per_line() * pcm_.geometry.data_unit_bits);
-    }
-    wear_.record(phys[i], plan.programmed);
-    fault_extra += apply_line_faults(phys[i], plan);
-    a_write_units_.add(plan.write_units);
-    if (plan.power_util > 0.0) a_power_util_.add(plan.power_util);
-    note_row_activate(bank, phys[i]);
-
-    if (cfg_.wear_leveling) {
-      const u64 region =
-          map_.line_index(reqs[i].addr) / cfg_.start_gap.region_lines;
-      if (const auto move = leveler_for(region).on_write()) {
-        apply_gap_move(region, *move);
-      }
+    fault_extra += account_write(at[i], plan, now);
+    if (const auto move = remap_.on_write(nodes_[ids[i]].req.addr)) {
+      apply_gap_move(*move);
     }
   }
   end_plan_scope(bscale);
   const Tick batch_service = batch.latency + fault_extra;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     a_write_service_.add(to_ns(batch_service));
   }
 
@@ -1171,8 +1008,8 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
   InlineVec<u64, 4> sub_mask;
   sub_mask.resize((spb + 63) / 64, 0);
   const std::span<u64> mask{sub_mask.data(), sub_mask.size()};
-  for (const Addr p : phys) {
-    const u32 local = eff_sub(p) - sub_base;
+  for (const Placement& p : at) {
+    const u32 local = p.sub - sub_base;
     if (!bitmap_test(mask, local)) {
       bitmap_set(mask, local);
       start = std::max(start, subarrays_[sub_base + local].free_at());
@@ -1193,7 +1030,7 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
     if (trace::on<kPalpCat>()) {
       trace::emit_instant(kPalpCat, trace::Op::kPalpBatchSpread,
                           palp_track(cfg_.track_base, bank), start,
-                          reqs.size(), spread);
+                          ids.size(), spread);
       trace::emit_span(kPalpCat, trace::Op::kPalpWriteSpan,
                        palp_track(cfg_.track_base, bank), start,
                        batch_service, spread);
@@ -1201,15 +1038,18 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
   }
   if (trace::on<kCat>()) {
     trace::emit_span(kCat, trace::Op::kBatchService, bank_track(cfg_.track_base, bank), start,
-                     batch_service, reqs.size());
+                     batch_service, ids.size());
   }
   const Tick done_in = start + batch_service - now;
   sim_.schedule_in(
       done_in,
-      [this, bank, reqs = std::move(reqs)]() mutable {
+      [this, bank, head] {
         --inflight_;
         if (palp_on_) pumps_[bank].end_exclusive();
-        for (auto& r : reqs) {
+        for (u32 id = head; id != kNilIndex;) {
+          const u32 next = nodes_[id].by_bucket.next;
+          MemoryRequest r = take_node(id);
+          id = next;
           r.complete_tick = sim_.now();
           const double lat_ns = to_ns(r.complete_tick - r.enqueue_tick);
           a_write_latency_.add(lat_ns);
@@ -1221,12 +1061,9 @@ void Controller::issue_write_batch(std::vector<MemoryRequest> reqs) {
       sim::Priority::kDeviceComplete);
 }
 
-void Controller::apply_gap_move(u64 region, const GapMove& move) {
-  const u64 n = cfg_.start_gap.region_lines;
-  const Addr src = (region * (n + 1) + move.from_physical) * map_.line_bytes();
-  const Addr dst = (region * (n + 1) + move.to_physical) * map_.line_bytes();
-
-  const pcm::LogicalLine content = store_.read_logical(src);
+void Controller::apply_gap_move(const Relocation& r) {
+  const Addr dst = r.dst;
+  const pcm::LogicalLine content = store_.read_logical(r.src);
   pcm::LineBuf& dst_line = store_.line(dst);
   const double bscale = begin_plan_scope(sim_.now());
   const schemes::ServicePlan plan = scheme_.plan_write(dst_line, content);
@@ -1236,12 +1073,13 @@ void Controller::apply_gap_move(u64 region, const GapMove& move) {
   end_plan_scope(bscale);
   c_gap_moves_.inc();
 
-  const u32 bank = eff_bank(dst);
+  const Placement to = remap_.place(dst);
+  const u32 bank = to.bank;
   if (trace::on<kCat>()) {
     trace::emit_instant(kCat, trace::Op::kGapMove, bank_track(cfg_.track_base, bank),
-                        sim_.now(), region, gap_service);
+                        sim_.now(), r.region, gap_service);
   }
-  const u32 subarray = eff_sub(dst);
+  const u32 subarray = to.sub;
   note_row_activate(bank, dst);
   const Tick start = std::max({sim_.now(), banks_[bank].free_at(),
                                subarrays_[subarray].free_at()});
@@ -1250,6 +1088,7 @@ void Controller::apply_gap_move(u64 region, const GapMove& move) {
   const Tick done_in = start + gap_service - sim_.now();
   sim_.schedule_in(done_in, [this] { schedule_dispatch(); },
                    sim::Priority::kDeviceComplete);
+  relocate_queued(r);
 }
 
 void Controller::complete_write(u32 bank, u64 epoch) {

@@ -11,25 +11,25 @@
 // (reads) or per-bank (writes) FIFO, with bitmaps tracking which buckets
 // are non-empty. A scheduling decision then inspects only per-bank list
 // heads/cursors — O(banks) instead of O(queue) — and batch formation
-// walks a single bank's list. The selection is provably order-identical
-// to a linear FRFCFS sweep of the global queue (the pre-index
-// implementation survives as the differential-test oracle in
-// tests/reference_controller.hpp). Two ablation features re-enable the
-// exact age-ordered sweep over the same structures, because they mutate
-// state mid-sweep in ways an up-front index cannot see:
-//  * write pausing — a blocked read may preempt the in-service write
-//    while the sweep is mid-flight;
-//  * Start-Gap wear leveling — gap moves triggered by an issued write
-//    remap queued requests' physical (bank, subarray) between sweep
-//    steps, which is also why the legacy begin() restart after a batch
-//    erase is preserved only on this path.
+// walks a single bank's list. The selection is order-identical to a
+// linear FRFCFS sweep of the global queue (the pre-index implementation
+// survives as the differential-test oracle in
+// tests/reference_controller.hpp), and it is the only dispatch path:
+//  * requests are bucketed by where their line is served *now*, as
+//    decided by the AddressIndirection module (Start-Gap wear leveling
+//    plus the stuck-bank redirect). A gap movement relocates exactly one
+//    logical line; its queued requests move to their new buckets in age
+//    order, and the write sweep rebuilds its cursors, continuing past
+//    the last issued write as the linear sweep does;
+//  * write pausing folds into read collection: the oldest read blocked
+//    on a subarray asks the bank's in-service write to pause, and a
+//    pause boundary on `now` frees the subarray for the younger reads
+//    behind it.
 //
 // PCM has no row buffer to exploit, so FRFCFS degenerates to
-// oldest-first over requests whose bank is idle; the "row hit first" rule
-// never fires for the paper configuration. The controller still tracks
-// each bank's open row (last-activated) in O(1) per issue: it feeds the
-// mem.row_hits/row_misses locality stats, and the opt-in `row_hit_first`
-// knob steers same-row requests first for DRAM-like front-ends.
+// oldest-first over requests whose bank is idle. The controller still
+// tracks each bank's open row (last-activated) in O(1) per issue for the
+// mem.row_hits/row_misses locality stats.
 //
 // Optional substrate features from the paper's related work:
 //  * write pausing (ref [24]): a long write in service is paused at
@@ -49,9 +49,9 @@
 #include "tw/fault/fault_model.hpp"
 #include "tw/mem/address_map.hpp"
 #include "tw/mem/data_store.hpp"
+#include "tw/mem/indirection.hpp"
 #include "tw/mem/interface.hpp"
 #include "tw/mem/request.hpp"
-#include "tw/mem/start_gap.hpp"
 #include "tw/pcm/bank.hpp"
 #include "tw/pcm/energy.hpp"
 #include "tw/pcm/pump.hpp"
@@ -115,12 +115,6 @@ struct ControllerConfig {
   /// scheme at once (batched Tetris packs their units jointly; other
   /// schemes serialize internally). Batches are not pausable.
   u32 write_batch = 1;
-
-  /// Prefer requests hitting a bank's open (last-activated) row over
-  /// strictly-oldest selection. A no-op for the paper's closed-row PCM
-  /// array (kept off there so schedules stay bit-identical to the
-  /// reference FRFCFS); DRAM-like front-ends can enable it.
-  bool row_hit_first = false;
 
   /// Partition-level parallelism knobs (read-while-write and concurrent
   /// partition writes inside a bank). Mutually exclusive with
@@ -194,7 +188,9 @@ class Controller : public MemoryInterface {
 
   /// Physical line address a logical line currently maps to (identity
   /// unless wear leveling is on). Exposed for tests and wear reports.
-  Addr physical_of(Addr logical_line_addr);
+  Addr physical_of(Addr logical_line_addr) {
+    return remap_.physical_of(logical_line_addr);
+  }
 
   DataStore& store() { return store_; }
   DataStore& store_for(Addr) override { return store_; }
@@ -211,12 +207,13 @@ class Controller : public MemoryInterface {
 
  private:
   /// One queued request: the payload plus its memberships in the global
-  /// age FIFO and its (bank or subarray) bucket FIFO.
+  /// age FIFO and its (bank or subarray) bucket FIFO. A write batch in
+  /// service keeps its members' nodes, chained through by_bucket.
   struct ReqNode {
     MemoryRequest req;
     ListLink by_age;     ///< global FIFO over all queued reads or writes
     ListLink by_bucket;  ///< per-subarray (reads) / per-bank (writes) FIFO
-    u32 bucket = 0;      ///< bucket id fixed at enqueue (erase consistency)
+    Placement at;        ///< current placement; at.sub / at.bank = bucket
   };
   using NodePool = ChunkPool<ReqNode>;
   using AgeList = IndexList<ReqNode, &ReqNode::by_age>;
@@ -246,48 +243,45 @@ class Controller : public MemoryInterface {
     Tick service = 0;
     u32 subarray = 0;
   };
-  /// Last row activated in a bank (closed-row PCM: locality stats and
-  /// the opt-in row_hit_first steering).
+  /// Last row activated in a bank (closed-row PCM locality stats).
   struct OpenRow {
     u64 row = 0;
     bool valid = false;
   };
 
   void dispatch();
-  void dispatch_reads_indexed(Tick now);
-  void dispatch_reads_exact(Tick now);
-  void dispatch_writes_indexed(Tick now);
-  void dispatch_writes_exact(Tick now);
+  void dispatch_reads(Tick now);
+  void dispatch_writes(Tick now);
   void schedule_dispatch();
 
   // Node plumbing. enqueue_* link a freshly filled node into both lists
   // and maintain the non-empty bitmaps; unlink_* do the reverse. The node
   // id is released back to the pool by take_node.
-  u32 make_node(MemoryRequest&& req, u32 bucket);
+  u32 make_node(MemoryRequest&& req, const Placement& at);
   MemoryRequest take_node(u32 id);
   void link_read(u32 id);
   void unlink_read(u32 id);
   void link_write(u32 id);
   void unlink_write(u32 id);
 
-  /// Oldest issuable read in subarray `sub` (its list head), or the oldest
-  /// open-row hit when row_hit_first is set. kNilIndex if none. `hit_out`
-  /// reports whether the pick is an open-row hit.
-  u32 read_cursor(u32 sub, bool* hit_out) const;
   /// Oldest issuable write in bank `bank` at `now` scanning from node
-  /// `from` (kNilIndex = list head); honors row_hit_first. kNilIndex if
-  /// none. `hit_out` reports whether the pick is an open-row hit.
-  u32 write_cursor(u32 bank, u32 from, Tick now, bool* hit_out) const;
+  /// `from`; kNilIndex if none.
+  u32 write_cursor(u32 bank, u32 from, Tick now) const;
+  /// Move the queued requests of a relocated line into the buckets of its
+  /// new placement, keeping age order.
+  void relocate_queued(const Relocation& r);
 
-  bool row_hit(u32 bank, Addr phys) const;
   void note_row_activate(u32 bank, Addr phys);
 
   /// Park a completed-read result; the completion event captures the slot.
   u32 acquire_read_slot(MemoryRequest&& req);
   MemoryRequest take_read_slot(u32 slot);
-  void issue_read(MemoryRequest req);
-  void issue_write(MemoryRequest req, Tick service_override = 0);
-  void issue_write_batch(std::vector<MemoryRequest> reqs);
+  // Issue paths take unlinked node ids; issue_write_batch takes the head
+  // of a chain of >= 2 same-bank members linked through by_bucket, whose
+  // nodes stay allocated until the batch completes.
+  void issue_read(u32 id);
+  void issue_write(u32 id);
+  void issue_write_batch(u32 head);
   void complete_write(u32 bank, u64 epoch);
   void complete_palp_write(u32 bank, u64 epoch);
 
@@ -307,37 +301,24 @@ class Controller : public MemoryInterface {
   double begin_palp_plan_scope(Tick now);
   bool try_pause(u32 bank, u32 wanted_subarray);
   void resume_paused(u32 bank);
-  bool read_waiting_for_subarray(u32 subarray);
   /// Flip drain mode, emitting a trace record on every transition.
   void set_draining(bool on);
   void notify_space();
-  StartGapLeveler& leveler_for(u64 region);
-  void apply_gap_move(u64 region, const GapMove& move);
-
-  /// Effective (possibly stuck-bank-remapped) flat bank of a physical
-  /// address. With no stuck banks these are the raw decode — the remap
-  /// indirection is only consulted when fault_remap_ is set, which also
-  /// forces the exact (non-indexed) dispatch paths.
-  u32 eff_bank(Addr phys) const {
-    const u32 b = map_.flat_bank(phys);
-    return fault_remap_ ? fault_->remap_bank(b) : b;
-  }
-  /// Effective flat subarray: the same local subarray inside eff_bank.
-  u32 eff_sub(Addr phys) const {
-    const u32 s = map_.flat_subarray(phys);
-    if (!fault_remap_) return s;
-    const u32 b = map_.flat_bank(phys);
-    const u32 t = fault_->remap_bank(b);
-    return s + (t - b) * map_.subarrays_per_bank();
-  }
+  /// Migrate the relocated line and re-bucket its queued requests.
+  void apply_gap_move(const Relocation& r);
   /// Count + trace a service redirected off a stuck bank (issue paths).
-  void note_stuck_remap(Addr phys);
+  void note_stuck_remap(const Placement& at);
   /// Brown-out handling around a scheme plan call: shrink the scheme's
   /// budget for writes planned inside a brown-out window. Returns the
   /// factor applied; pass it to end_plan_scope() after the plan (and any
   /// fault pricing that must see the same budget) completes.
   double begin_plan_scope(Tick now);
   void end_plan_scope(double factor);
+  /// Account one planned line write: counters, energy, wear, fault
+  /// pricing (inside the caller's plan scope) and the open row. Returns
+  /// the fault ladder's extra service latency.
+  Tick account_write(const Placement& at, const schemes::ServicePlan& plan,
+                     Tick now);
   /// Inject transient pulse failures into one planned line write:
   /// verify-and-retry pricing, retry energy/wear, FailedLine surfacing.
   /// Returns the extra service latency.
@@ -349,10 +330,10 @@ class Controller : public MemoryInterface {
   schemes::WriteScheme& scheme_;
   stats::Registry& reg_;
   const fault::FaultModel* fault_;
-  bool fault_remap_;   ///< any bank stuck: redirect traffic, exact paths
   u64 fault_seq_ = 0;  ///< per-service ordinal feeding fault site hashes
 
   AddressMap map_;
+  AddressIndirection remap_;
   DataStore store_;
   std::vector<pcm::PcmBank> banks_;      ///< write serialization (charge pump)
   std::vector<pcm::PcmBank> subarrays_;  ///< array occupancy (reads + writes)
@@ -370,19 +351,16 @@ class Controller : public MemoryInterface {
   std::vector<BucketList> write_by_bank_;
   std::vector<u64> subs_with_reads_;    ///< bitmap over flat subarray ids
   std::vector<u64> banks_with_writes_;  ///< bitmap over flat bank ids
-  /// True when physical (bank, subarray) of a queued request cannot change
-  /// while queued (wear leveling off): enables the indexed fast paths.
-  bool static_mapping_ = true;
 
-  /// Scratch for one read-dispatch round: the head of each ready
-  /// subarray bucket. Reserved to total_subarrays in the constructor so
-  /// dispatch never allocates.
+  /// Scratch for one read-dispatch round: the oldest issuable read of
+  /// each ready subarray bucket, and the reads that asked for a pause
+  /// this round. Reserved in the constructor so dispatch never allocates.
   struct ReadCursor {
     u32 node;
     u32 sub;
-    bool hit;
   };
   std::vector<ReadCursor> read_ready_;
+  std::vector<u32> pause_askers_;
 
   std::vector<OpenRow> open_row_;  ///< per-bank last-activated row
 
@@ -409,11 +387,6 @@ class Controller : public MemoryInterface {
   /// legacy path keeps partitions=1 runs bit-identical whatever the
   /// palp.* knobs say.
   bool palp_on_ = false;
-
-  // Wear leveling state: flat array indexed by region id (regions are
-  // dense under the bounded trace address spaces; entries materialize on
-  // first touch).
-  std::vector<std::optional<StartGapLeveler>> levelers_;
 
   // In-flight read results staged by slot: completion callbacks capture
   // one u32 instead of a full MemoryRequest, keeping them inside the

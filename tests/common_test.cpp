@@ -7,10 +7,12 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "tw/common/assert.hpp"
 #include "tw/common/bits.hpp"
 #include "tw/common/csv.hpp"
+#include "tw/common/intrusive_list.hpp"
 #include "tw/common/parallel.hpp"
 #include "tw/common/rng.hpp"
 #include "tw/common/strings.hpp"
@@ -391,6 +393,46 @@ TEST(Table, NumericRightAligned) {
 TEST(Table, EmptyTableRendersNothing) {
   AsciiTable t;
   EXPECT_TRUE(t.to_string().empty());
+}
+
+struct ListNode {
+  int value = 0;
+  ListLink link;
+};
+using NodeList = IndexList<ListNode, &ListNode::link>;
+
+std::vector<int> list_values(const ChunkPool<ListNode>& pool,
+                             const NodeList& list) {
+  std::vector<int> out;
+  for (u32 id = list.head(); id != kNilIndex; id = list.next(pool, id)) {
+    out.push_back(pool[id].value);
+  }
+  return out;
+}
+
+TEST(IndexList, InsertBeforeKeepsBothDirectionsLinked) {
+  ChunkPool<ListNode> pool;
+  NodeList list;
+  std::vector<u32> ids;
+  for (int v : {10, 20, 30, 40}) {
+    ids.push_back(pool.alloc());
+    pool[ids.back()].value = v;
+  }
+  list.push_back(pool, ids[1]);                // 20
+  list.insert_before(pool, ids[1], ids[0]);    // new head: 10 20
+  list.insert_before(pool, kNilIndex, ids[3]); // append: 10 20 40
+  list.insert_before(pool, ids[3], ids[2]);    // middle: 10 20 30 40
+  EXPECT_EQ(list_values(pool, list), (std::vector<int>{10, 20, 30, 40}));
+  EXPECT_EQ(list.size(), 4u);
+  EXPECT_EQ(list.head(), ids[0]);
+  EXPECT_EQ(list.tail(), ids[3]);
+  std::vector<int> backwards;
+  for (u32 id = list.tail(); id != kNilIndex; id = list.prev(pool, id)) {
+    backwards.push_back(pool[id].value);
+  }
+  EXPECT_EQ(backwards, (std::vector<int>{40, 30, 20, 10}));
+  list.erase(pool, ids[2]);
+  EXPECT_EQ(list_values(pool, list), (std::vector<int>{10, 20, 40}));
 }
 
 }  // namespace

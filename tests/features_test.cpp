@@ -9,7 +9,9 @@
 #include <sstream>
 
 #include "tw/core/factory.hpp"
+#include "tw/fault/fault_model.hpp"
 #include "tw/harness/config_file.hpp"
+#include "tw/mem/indirection.hpp"
 #include "tw/mem/start_gap.hpp"
 #include "tw/workload/cache_filtered.hpp"
 
@@ -209,6 +211,79 @@ TEST(WearLeveling, SpreadsHotLineWear) {
   const double with = run(true);
   EXPECT_GT(without, 0.95);  // all wear on one line
   EXPECT_LT(with, 0.35);     // spread across the region
+}
+
+TEST(WearLeveling, SparseRegionsAtSharedAddresses) {
+  // The workload generator puts shared lines at 0x1000'0000'0000: with
+  // two-line regions that is region 2^37. Levelers are keyed sparsely,
+  // so serving it materializes one region, not a table up to its index.
+  mem::ControllerConfig ccfg;
+  ccfg.drain = mem::ControllerConfig::DrainPolicy::kOpportunistic;
+  ccfg.wear_leveling = true;
+  ccfg.start_gap.region_lines = 2;
+  ccfg.start_gap.gap_write_interval = 1;
+  SysFixture f(ccfg);
+  const Addr shared = 0x1000'0000'0000ull;
+  u64 reads = 0;
+  f.ctl->set_read_callback([&](const mem::MemoryRequest&) { ++reads; });
+  ASSERT_TRUE(f.ctl->enqueue(f.write_req(shared, 0xAB)));
+  f.sim.run();
+  ASSERT_TRUE(f.ctl->enqueue(f.read_req(shared)));
+  f.sim.run();
+  EXPECT_EQ(reads, 1u);
+  EXPECT_EQ(f.ctl->gap_moves(), 1u);
+  EXPECT_EQ(f.ctl->store().read_logical(f.ctl->physical_of(shared)).word(0),
+            0xABu);
+}
+
+// ------------------------------------------------- address indirection --
+TEST(AddressIndirection, RelocationMovesExactlyTheSourceLine) {
+  // Each gap move relocates one logical line, from src to dst; the
+  // controller's re-bucketing relies on every other line staying put.
+  const pcm::PcmConfig pcm_cfg = pcm::table2_config();
+  const mem::AddressMap map(pcm_cfg.geometry);
+  mem::StartGapConfig sg;
+  sg.region_lines = 16;
+  sg.gap_write_interval = 1;
+  mem::AddressIndirection remap(map, true, sg, nullptr);
+  const Addr region1 = 16 * 64;  // second region: lines 16..31
+  for (int m = 0; m < 60; ++m) {
+    std::vector<Addr> before;
+    for (Addr a = region1; a < region1 + 16 * 64; a += 64) {
+      before.push_back(remap.physical_of(a));
+    }
+    const auto r = remap.on_write(region1);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->region, 1u);
+    u32 moved = 0;
+    for (u32 i = 0; i < before.size(); ++i) {
+      const Addr now = remap.physical_of(region1 + i * 64);
+      if (now == before[i]) continue;
+      ++moved;
+      EXPECT_EQ(before[i], r->src);
+      EXPECT_EQ(now, r->dst);
+    }
+    EXPECT_EQ(moved, 1u);
+  }
+}
+
+TEST(AddressIndirection, StuckBankRedirectKeepsLocalSubarray) {
+  pcm::PcmConfig pcm_cfg = pcm::table2_config();
+  pcm_cfg.geometry.subarrays_per_bank = 4;
+  const mem::AddressMap map(pcm_cfg.geometry);
+  fault::FaultConfig fcfg;
+  fcfg.stuck_bank = 3;
+  const fault::FaultModel fault(fcfg, map.total_banks(), 1);
+  mem::AddressIndirection remap(map, false, mem::StartGapConfig{}, &fault);
+  EXPECT_TRUE(remap.redirects());
+  for (Addr a = 0; a < 4096 * 64; a += 64) {
+    const mem::Placement p = remap.locate(a);
+    EXPECT_EQ(p.phys, a);
+    const u32 bank = map.flat_bank(a);
+    const u32 local = map.flat_subarray(a) - bank * 4;
+    EXPECT_EQ(p.bank, bank == 3 ? 4u : bank);
+    EXPECT_EQ(p.sub, p.bank * 4 + local);
+  }
 }
 
 // -------------------------------------------------------- write pausing --

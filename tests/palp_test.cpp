@@ -342,6 +342,34 @@ TEST(PalpController, SinglePartitionDegeneratesToBaseline) {
   EXPECT_EQ(off.write_lat, on.write_lat);
 }
 
+TEST(PalpController, SpreadFirstGatherOnStuckBank) {
+  // A stuck bank's traffic is served from the next healthy bank, and
+  // batch gather there is spread-first like everywhere else: the batch
+  // takes the oldest line plus the oldest line in a *different*
+  // partition, skipping the older same-partition line.
+  fault::FaultConfig fcfg;
+  fcfg.stuck_bank = 1;
+  const fault::FaultModel fault(fcfg, 64, 7);
+  ASSERT_EQ(fault.remap_bank(1), 2u);
+  mem::ControllerConfig ccfg = palp_config(true, 2, 2);
+  ccfg.write_batch = 2;
+  Harness h(ccfg, &fault);
+
+  const Addr a = h.enqueue_write(h.addr_for(1, 0), 0x1111111111111111ull);
+  const Addr b = h.enqueue_write(h.addr_for(1, 0, 1), 0x2222222222222222ull);
+  const Addr c = h.enqueue_write(h.addr_for(1, 1), 0x3333333333333333ull);
+  h.sim.run();
+
+  EXPECT_TRUE(h.ctl->idle());
+  EXPECT_EQ(h.counter("mem.stuck_remaps"), 3u);
+  EXPECT_EQ(h.counter("mem.writes_batched"), 2u);
+  const stats::Accumulator& spread = h.reg.accumulator("mem.palp_batch_spread");
+  EXPECT_EQ(spread.count(), 1u);
+  EXPECT_EQ(spread.max(), 2.0);
+  EXPECT_EQ(h.complete_of('W', a), h.complete_of('W', c));
+  EXPECT_GT(h.complete_of('W', b), h.complete_of('W', c));
+}
+
 TEST(PalpController, ConfigValidation) {
   mem::ControllerConfig ccfg = palp_config(true);
   EXPECT_TRUE(ccfg.valid());

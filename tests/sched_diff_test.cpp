@@ -44,6 +44,10 @@ struct StreamShape {
   u64 num_lines = 256;     ///< footprint in cache lines
   u64 max_gap = ns(120);   ///< uniform inter-arrival gap bound
   u32 distinct_words = 8;  ///< small payload alphabet aids coalescing
+  /// Arrival ticks are multiples of this. A coarse grid lines arrivals
+  /// up with service and pause boundaries, and same-tick arrivals are all
+  /// enqueued before the controller dispatches, as clocked cores do.
+  Tick grid = 1;
 };
 
 std::vector<Arrival> make_stream(u64 seed, const StreamShape& shape) {
@@ -52,7 +56,7 @@ std::vector<Arrival> make_stream(u64 seed, const StreamShape& shape) {
   evs.reserve(shape.requests);
   Tick t = 0;
   for (u32 i = 0; i < shape.requests; ++i) {
-    t += rng.below(shape.max_gap + 1);
+    t += rng.below(shape.max_gap / shape.grid + 1) * shape.grid;
     Arrival a;
     a.at = t;
     a.write = rng.chance(shape.write_frac);
@@ -94,7 +98,7 @@ struct Observation {
 template <class ControllerT>
 Observation run_one(const pcm::PcmConfig& pcm_cfg, ControllerConfig ccfg,
                     schemes::SchemeKind kind,
-                    const std::vector<Arrival>& stream) {
+                    const std::vector<Arrival>& stream, bool clocked = false) {
   sim::Simulator sim;
   stats::Registry reg;
   const auto scheme = core::make_scheme(kind, pcm_cfg);
@@ -111,8 +115,9 @@ Observation run_one(const pcm::PcmConfig& pcm_cfg, ControllerConfig ccfg,
   });
 
   const u32 units = pcm_cfg.geometry.units_per_line();
-  for (const Arrival& a : stream) {
-    sim.run(a.at);
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    const Arrival& a = stream[k];
+    if (!clocked || k == 0 || a.at != stream[k - 1].at) sim.run(a.at);
     MemoryRequest req;
     req.addr = a.addr;
     req.type = a.write ? ReqType::kWrite : ReqType::kRead;
@@ -221,10 +226,11 @@ void run_scenario(const Scenario& sc) {
     const u64 stream_seed = 0xC0FFEE + fuzz_seed_env() + s * 977;
     SCOPED_TRACE(sc.name + " stream_seed=" + std::to_string(stream_seed));
     const auto stream = make_stream(stream_seed, sc.shape);
+    const bool clocked = sc.shape.grid > 1;
     const auto idx =
-        run_one<Controller>(pcm_cfg, sc.cfg, sc.kind, stream);
-    const auto ref =
-        run_one<ref::ReferenceController>(pcm_cfg, sc.cfg, sc.kind, stream);
+        run_one<Controller>(pcm_cfg, sc.cfg, sc.kind, stream, clocked);
+    const auto ref = run_one<ref::ReferenceController>(pcm_cfg, sc.cfg,
+                                                       sc.kind, stream, clocked);
     // Guard against vacuous passes: every scenario must complete traffic.
     EXPECT_GT(idx.done.size(), 100u);
     expect_equivalent(idx, ref);
@@ -292,6 +298,50 @@ TEST(SchedDiff, WearLevelingWithBatching) {
   const auto stream = make_stream(0xC0FFEE, sc.shape);
   const auto obs = run_one<Controller>(pcm_cfg, sc.cfg, sc.kind, stream);
   EXPECT_GT(obs.gap_moves, 0u);
+}
+
+TEST(SchedDiff, PausingOnClockedArrivals) {
+  // Arrivals on a 20 ns grid, several per tick: pause boundaries (50 ns
+  // quanta past a write's start) often land exactly on a dispatch that
+  // holds more than one read for the paused subarray. The subarray is
+  // then free at once, but only for the reads younger than the one that
+  // asked for the pause.
+  for (const auto drain : {ControllerConfig::DrainPolicy::kStrict,
+                           ControllerConfig::DrainPolicy::kOpportunistic}) {
+    Scenario sc;
+    sc.name = drain == ControllerConfig::DrainPolicy::kStrict
+                  ? "pause-clocked-strict"
+                  : "pause-clocked-opportunistic";
+    sc.cfg.drain = drain;
+    sc.cfg.write_pausing = true;
+    sc.cfg.pause_quantum = ns(50);
+    sc.seeds = 3;
+    sc.shape.requests = 1500;
+    sc.shape.num_lines = 64;
+    sc.shape.max_gap = ns(40);
+    sc.shape.grid = ns(20);
+    run_scenario(sc);
+  }
+}
+
+TEST(SchedDiff, WearLevelingPausingClocked) {
+  // Unbatched writes under a gap move every other write, with pausing and
+  // clocked arrivals: relocated lines' queued reads and writes must move
+  // buckets in age order while pauses free subarrays mid-collection.
+  Scenario sc;
+  sc.name = "startgap-pausing-clocked-sub2";
+  sc.cfg.wear_leveling = true;
+  sc.cfg.start_gap.region_lines = 16;
+  sc.cfg.start_gap.gap_write_interval = 2;
+  sc.cfg.write_pausing = true;
+  sc.cfg.pause_quantum = ns(50);
+  sc.subarrays_per_bank = 2;
+  sc.shape.requests = 2000;
+  sc.shape.write_frac = 0.7;
+  sc.shape.num_lines = 64;
+  sc.shape.max_gap = ns(40);
+  sc.shape.grid = ns(20);
+  run_scenario(sc);
 }
 
 TEST(SchedDiff, PausingPlusLevelingOpportunistic) {
