@@ -19,12 +19,14 @@ int main(int argc, char** argv) {
   const bench::Options o = bench::Options::parse(argc, argv);
   const u64 writes = o.quick ? 500 : 3'000;
   const pcm::PcmConfig cfg = pcm::table2_config();
+  const encode::EncoderKind encoder =
+      bench::system_config(workload::parsec_profiles().front(), o).encode.kind;
 
   std::cout << "Ablation: programming energy per cache-line write "
                "(Table I, quantitative)\n"
             << "==========================================================="
                "=============\n"
-            << "(encoder pre-stage: " << encode::encoder_name(o.encoder)
+            << "(encoder pre-stage: " << encode::encoder_name(encoder)
             << ")\n\n";
 
   AsciiTable t;
@@ -49,7 +51,7 @@ int main(int argc, char** argv) {
                            p.initial_ones_fraction);
       workload::TraceGenerator gen(p, cfg.geometry, 1, o.seed + 1);
       const auto scheme =
-          encode::wrap_scheme(core::make_scheme(kind, cfg), o.encoder);
+          encode::wrap_scheme(core::make_scheme(kind, cfg), encoder);
       if (scheme->transforms_content()) {
         store.set_decoder(
             scheme.get(), [](const void* ctx, const pcm::LineBuf& l) {

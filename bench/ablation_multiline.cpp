@@ -1,13 +1,14 @@
 // Ablation: multi-line Tetris batch scheduling (scheme x K matrix).
 //
-// Sweeps batch.max_lines over every paper scheme on write-heavy profiles.
+// Sweeps the batch size K over every paper scheme on write-heavy profiles.
 // Only Tetris packs the K gathered lines into one joint power-budget
 // schedule (BatchPacker); the other schemes serialize their batches, so
 // their rows double as a control — any K-dependence there comes purely
 // from the controller's gather, not from packing. The Tetris rows show
 // the write-latency / IPC gain of joint packing plus the batch-occupancy
 // metrics (mean lines per issue, mean budget utilization of the joint
-// schedules).
+// schedules). The read-latency column shows the other side of the
+// trade-off: a batch holds its bank for one indivisible window.
 
 #include <fstream>
 #include <iostream>
@@ -27,8 +28,8 @@ int main(int argc, char** argv) {
   const auto kinds = bench::paper_columns();
   std::vector<std::vector<std::string>> csv;
   AsciiTable t;
-  t.set_header({"workload", "scheme", "K", "write lat (us)", "IPC",
-                "write units", "batched", "lines/issue", "occupancy"});
+  t.set_header({"workload", "scheme", "K", "write lat (us)", "read lat (ns)",
+                "IPC", "write units", "batched", "lines/issue", "occupancy"});
   for (const char* name : {"dedup", "vips"}) {
     const auto& profile = workload::profile_by_name(name);
     for (const auto kind : kinds) {
@@ -37,11 +38,13 @@ int main(int argc, char** argv) {
         cfg.batch.max_lines = k;
         const harness::RunMetrics m = harness::run_system(cfg, profile, kind);
         t.add_row({profile.name, m.scheme, std::to_string(k),
-                   fixed(m.write_latency_ns / 1000.0, 1), fixed(m.ipc, 3),
+                   fixed(m.write_latency_ns / 1000.0, 1),
+                   fixed(m.read_latency_ns, 0), fixed(m.ipc, 3),
                    fixed(m.write_units, 3), std::to_string(m.writes_batched),
                    fixed(m.batch_lines, 2), fixed(m.batch_occupancy, 3)});
         csv.push_back({profile.name, m.scheme, std::to_string(k),
-                       fixed(m.write_latency_ns, 1), fixed(m.ipc, 4),
+                       fixed(m.write_latency_ns, 1),
+                       fixed(m.read_latency_ns, 1), fixed(m.ipc, 4),
                        fixed(m.write_units, 4),
                        std::to_string(m.writes_batched),
                        fixed(m.batch_lines, 3),
@@ -55,8 +58,8 @@ int main(int argc, char** argv) {
     std::ofstream out(o.csv_path);
     CsvWriter writer(out);
     writer.header({"workload", "scheme", "max_lines", "write_latency_ns",
-                   "ipc", "write_units", "writes_batched", "batch_lines",
-                   "batch_occupancy"});
+                   "read_latency_ns", "ipc", "write_units", "writes_batched",
+                   "batch_lines", "batch_occupancy"});
     for (const auto& row : csv) writer.row(row);
   }
 

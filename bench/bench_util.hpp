@@ -4,24 +4,35 @@
 // runner used by Figures 11-14 (same simulation matrix, different
 // metric).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tw/common/parallel.hpp"
 #include "tw/common/strings.hpp"
 #include "tw/common/svg.hpp"
-#include "tw/fault/fault.hpp"
 #include "tw/harness/figure.hpp"
+#include "tw/harness/knobs.hpp"
 #include "tw/trace/record.hpp"
 
 namespace tw::bench {
 
-/// Command-line options common to all figure binaries.
+/// A flag one binary adds to the shared set (micro_sim --trace-overhead).
+struct ExtraFlag {
+  std::string_view name;  ///< without the leading "--"
+  std::string_view help;
+};
+
+/// Command-line options common to all figure binaries. Simulator knobs
+/// are not fields here: `--<key>=<value>` for any key of the knob table
+/// (tw/harness/knobs.hpp), or one of its old short flags, lands in
+/// `overrides`, which system_config() applies on top of Table II.
 struct Options {
   u64 target_ops_per_core = 1500;  ///< memory requests per core to aim for
   u64 max_instructions = 60'000'000;
@@ -33,150 +44,89 @@ struct Options {
   std::string trace_path;   ///< optional Chrome trace of one traced run
   std::string trace_metrics_path;  ///< optional metrics-snapshot CSV
   u32 trace_categories = trace::kAllCategories;
-  fault::FaultProfile fault_profile = fault::FaultProfile::kNone;
-  u32 batch_lines = 0;  ///< batch.max_lines override (0 = leave default)
-  u32 subarrays = 0;    ///< subarrays/bank override (0 = leave default)
-  bool palp = false;    ///< partition-level parallelism (PALP)
-  u32 palp_ways = 2;    ///< concurrent partition writes per pump
-  u32 palp_rww = 2;     ///< read-after-write-current read cap
-  u32 channels = 1;     ///< memory channels (power of two)
-  pcm::ChannelInterleave interleave = pcm::ChannelInterleave::kLine;
-  u32 sim_threads = 0;  ///< pool-thread cap for the channel phase (0 = all)
-  bool dram = false;    ///< front PCM with the DRAM tier
-  u32 dram_mb = 32;     ///< DRAM capacity in MB (total across channels)
-  mem::DramPolicy dram_policy = mem::DramPolicy::kLru;
-  /// Content-encoder pre-stage in front of every scheme (kNone = off).
-  encode::EncoderKind encoder = encode::EncoderKind::kNone;
   bool quick = false;
+  /// Knob settings in command-line order, already checked to parse and to
+  /// leave Table II consistent.
+  std::vector<harness::Setting> overrides;
+  std::vector<std::string> extras;  ///< ExtraFlag names that were given
 
-  static Options parse(int argc, char** argv) {
+  bool has(std::string_view flag) const {
+    return std::find(extras.begin(), extras.end(), flag) != extras.end();
+  }
+
+  /// Unknown flags, malformed values and inconsistent configs print an
+  /// error naming the flag and exit 2.
+  static Options parse(int argc, char** argv,
+                       std::initializer_list<ExtraFlag> extra = {}) {
     Options o;
+    const auto fail = [&](const std::string& msg) {
+      std::cerr << argv[0] << ": " << msg << " (see --help)\n";
+      std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      auto value = [&](const char* prefix) -> const char* {
-        return arg.c_str() + std::strlen(prefix);
+      const auto eq = arg.find('=');
+      const std::string name = arg.substr(0, eq);
+      const std::string value =
+          eq == std::string::npos ? "" : arg.substr(eq + 1);
+      const auto declared = [&](const ExtraFlag& f) {
+        return arg == "--" + std::string(f.name);
       };
-      if (arg == "--quick") {
+      const auto number = [&] {
+        const auto n = harness::parse_u64(value);
+        if (!n) fail(arg + ": expected an unsigned integer");
+        return *n;
+      };
+      if (arg == "--help" || arg == "-h") {
+        std::cout << "flags:\n"
+                     "  --quick --ops=N --seed=N --threads=N\n"
+                     "  --csv=PATH --svg=PATH --json=PATH --trace=PATH\n"
+                     "  --trace-metrics=PATH --trace-categories=LIST\n";
+        for (const ExtraFlag& f : extra) {
+          std::cout << "  --" << f.name << "  " << f.help << "\n";
+        }
+        std::cout << "simulator knobs (--<key>=<value>, applied in order; "
+                     "old flag in brackets):\n";
+        harness::print_knob_help(std::cout);
+        std::exit(0);
+      } else if (arg == "--quick") {
         o.quick = true;
         o.target_ops_per_core = 400;
-      } else if (starts_with(arg, "--ops=")) {
-        o.target_ops_per_core = std::strtoull(value("--ops="), nullptr, 10);
-      } else if (starts_with(arg, "--seed=")) {
-        o.seed = std::strtoull(value("--seed="), nullptr, 10);
-      } else if (starts_with(arg, "--threads=")) {
-        o.threads = std::strtoull(value("--threads="), nullptr, 10);
-      } else if (starts_with(arg, "--csv=")) {
-        o.csv_path = value("--csv=");
-      } else if (starts_with(arg, "--svg=")) {
-        o.svg_path = value("--svg=");
-      } else if (starts_with(arg, "--json=")) {
-        o.json_path = value("--json=");
-      } else if (starts_with(arg, "--trace=")) {
-        o.trace_path = value("--trace=");
-      } else if (starts_with(arg, "--trace-metrics=")) {
-        o.trace_metrics_path = value("--trace-metrics=");
-      } else if (starts_with(arg, "--batch-lines=")) {
-        o.batch_lines = static_cast<u32>(
-            std::strtoul(value("--batch-lines="), nullptr, 10));
-      } else if (starts_with(arg, "--subarrays=")) {
-        const u64 n = std::strtoull(value("--subarrays="), nullptr, 10);
-        if (n == 0 || (n & (n - 1)) != 0) {
-          std::cerr << "--subarrays must be a power of two >= 1 (got '"
-                    << value("--subarrays=")
-                    << "'); the row decoder extracts log2(subarrays) "
-                       "address bits\n";
-          std::exit(2);
+      } else if (name == "--ops") {
+        o.target_ops_per_core = number();
+      } else if (name == "--seed") {
+        o.seed = number();
+      } else if (name == "--threads") {
+        o.threads = number();
+      } else if (name == "--csv") {
+        o.csv_path = value;
+      } else if (name == "--svg") {
+        o.svg_path = value;
+      } else if (name == "--json") {
+        o.json_path = value;
+      } else if (name == "--trace") {
+        o.trace_path = value;
+      } else if (name == "--trace-metrics") {
+        o.trace_metrics_path = value;
+      } else if (name == "--trace-categories") {
+        o.trace_categories = trace::parse_categories(value.c_str());
+      } else if (std::any_of(extra.begin(), extra.end(), declared)) {
+        o.extras.push_back(arg.substr(2));
+      } else {
+        try {
+          if (!harness::expand_flag(arg, o.overrides)) {
+            fail(arg + ": unknown flag");
+          }
+        } catch (const std::exception& e) {
+          fail(e.what());
         }
-        o.subarrays = static_cast<u32>(n);
-      } else if (arg == "--palp") {
-        o.palp = true;
-      } else if (starts_with(arg, "--palp-ways=")) {
-        o.palp_ways = static_cast<u32>(
-            std::strtoul(value("--palp-ways="), nullptr, 10));
-      } else if (starts_with(arg, "--palp-rww=")) {
-        o.palp_rww = static_cast<u32>(
-            std::strtoul(value("--palp-rww="), nullptr, 10));
-      } else if (starts_with(arg, "--channels=")) {
-        const u64 n = std::strtoull(value("--channels="), nullptr, 10);
-        if (n == 0 || (n & (n - 1)) != 0) {
-          std::cerr << "--channels must be a power of two >= 1 (got '"
-                    << value("--channels=")
-                    << "'); the channel decoder extracts log2(channels) "
-                       "address bits\n";
-          std::exit(2);
-        }
-        o.channels = static_cast<u32>(n);
-      } else if (starts_with(arg, "--interleave=")) {
-        const std::string s = value("--interleave=");
-        if (s == "line") {
-          o.interleave = pcm::ChannelInterleave::kLine;
-        } else if (s == "bank") {
-          o.interleave = pcm::ChannelInterleave::kBank;
-        } else if (s == "row") {
-          o.interleave = pcm::ChannelInterleave::kRow;
-        } else {
-          std::cerr << "--interleave must be line|bank|row (got '" << s
-                    << "')\n";
-          std::exit(2);
-        }
-      } else if (starts_with(arg, "--sim-threads=")) {
-        o.sim_threads = static_cast<u32>(
-            std::strtoul(value("--sim-threads="), nullptr, 10));
-      } else if (arg == "--dram") {
-        o.dram = true;
-      } else if (starts_with(arg, "--dram-mb=")) {
-        const u64 n = std::strtoull(value("--dram-mb="), nullptr, 10);
-        if (n == 0) {
-          std::cerr << "--dram-mb must be >= 1 (got '" << value("--dram-mb=")
-                    << "')\n";
-          std::exit(2);
-        }
-        o.dram = true;
-        o.dram_mb = static_cast<u32>(n);
-      } else if (starts_with(arg, "--dram-policy=")) {
-        const std::string s = value("--dram-policy=");
-        if (s == "lru") {
-          o.dram_policy = mem::DramPolicy::kLru;
-        } else if (s == "mac") {
-          o.dram_policy = mem::DramPolicy::kMac;
-        } else {
-          std::cerr << "--dram-policy must be lru|mac (got '" << s << "')\n";
-          std::exit(2);
-        }
-        o.dram = true;
-      } else if (starts_with(arg, "--encoder=")) {
-        const auto k = encode::parse_encoder(value("--encoder="));
-        if (!k) {
-          std::cerr << "--encoder must be none|flip|wire|coset (got '"
-                    << value("--encoder=") << "')\n";
-          std::exit(2);
-        }
-        o.encoder = *k;
-      } else if (starts_with(arg, "--trace-categories=")) {
-        o.trace_categories =
-            trace::parse_categories(value("--trace-categories="));
-      } else if (starts_with(arg, "--fault-profile=")) {
-        const auto p =
-            fault::parse_fault_profile(value("--fault-profile="));
-        if (!p) {
-          std::cerr << "unknown fault profile '"
-                    << value("--fault-profile=")
-                    << "' (none|light|heavy|stuck-bank)\n";
-          std::exit(2);
-        }
-        o.fault_profile = *p;
-      } else if (arg == "--help" || arg == "-h") {
-        std::cout << "flags: --quick --ops=N --seed=N --threads=N "
-                     "--channels=N --interleave=line|bank|row "
-                     "--sim-threads=N "
-                     "--subarrays=N --palp --palp-ways=N --palp-rww=N "
-                     "--dram --dram-mb=N --dram-policy=lru|mac "
-                     "--encoder=none|flip|wire|coset "
-                     "--csv=PATH --svg=PATH --json=PATH --trace=PATH "
-                     "--trace-metrics=PATH --trace-categories=LIST "
-                     "--fault-profile=none|light|heavy|stuck-bank\n";
-        std::exit(0);
       }
+    }
+    try {
+      harness::SystemConfig table2;
+      harness::apply_settings(table2, o.overrides);
+    } catch (const std::exception& e) {
+      fail(e.what());
     }
     return o;
   }
@@ -233,25 +183,14 @@ inline u64 instructions_for(const workload::WorkloadProfile& p,
   return std::min(std::max<u64>(wanted, 20'000), o.max_instructions);
 }
 
-/// The standard Table II system config for one workload under `o`.
+/// The standard Table II system config for one workload under `o`: the
+/// --ops budget and seed first, then the command line's knob overrides.
 inline harness::SystemConfig system_config(
     const workload::WorkloadProfile& p, const Options& o) {
   harness::SystemConfig cfg;
   cfg.instructions_per_core = instructions_for(p, o);
   cfg.seed = o.seed;
-  cfg.fault = fault::profile_config(o.fault_profile);
-  cfg.batch.max_lines = o.batch_lines;
-  if (o.subarrays > 0) cfg.pcm.geometry.subarrays_per_bank = o.subarrays;
-  cfg.controller.palp.enabled = o.palp;
-  cfg.controller.palp.write_ways = o.palp_ways;
-  cfg.controller.palp.max_rww_reads = o.palp_rww;
-  cfg.pcm.geometry.channels = o.channels;
-  cfg.pcm.geometry.channel_interleave = o.interleave;
-  cfg.sim_threads = o.sim_threads;
-  cfg.dram.enabled = o.dram;
-  cfg.dram.capacity_bytes = u64{o.dram_mb} * 1024 * 1024;
-  cfg.dram.policy = o.dram_policy;
-  cfg.encode.kind = o.encoder;
+  harness::apply_settings(cfg, o.overrides);
   return cfg;
 }
 
@@ -358,17 +297,25 @@ inline void maybe_write_svg(const harness::Matrix& m,
   std::cout << "(figure written to " << o.svg_path << ")\n";
 }
 
+/// Whether a figure's metric improves downward (latency, runtime) or
+/// upward (IPC).
+enum class Better { kLower, kHigher };
+
 /// Shared driver for Figures 11-14: run the matrix, print the normalized
 /// table for `metric`, and compare scheme geomeans against the paper's
 /// reported averages (columns fnw, 2stage, 3stage, tetris).
 inline int system_figure(int argc, char** argv, const char* title,
                          const harness::MetricFn& metric,
                          const std::vector<double>& paper_averages,
-                         const char* paper_citation) {
+                         const char* paper_citation,
+                         Better better = Better::kLower) {
+  const bool higher = better == Better::kHigher;
+  const char* unit = higher ? "x" : "";
+  const char* relation = higher ? "improvement over" : "normalized to";
   const Options o = Options::parse(argc, argv);
   std::cout << title << "\n"
             << std::string(std::strlen(title), '=') << "\n";
-  std::cout << "(normalized to the DCW baseline; " << paper_citation
+  std::cout << "(" << relation << " the DCW baseline; " << paper_citation
             << ")\n\n";
 
   const WallTimer timer;
@@ -383,70 +330,28 @@ inline int system_figure(int argc, char** argv, const char* title,
 
   std::cout << "\nmeasured geomean vs paper average:\n";
   const auto& geo = norm.back();
+  const auto improves = [higher](double a, double b) {
+    return higher ? a > b : a < b;
+  };
   bool shape_ok = true;
   for (std::size_t s = 1; s < m.kinds.size(); ++s) {
-    const double measured = geo[s];
     const double paper = paper_averages[s - 1];
     std::cout << "  " << pad(schemes::scheme_name(m.kinds[s]), 8) << " "
-              << fixed(measured, 3) << " (paper " << fixed(paper, 3)
-              << ")\n";
-    // Shape check: the ranking between adjacent schemes must match.
-    if (s > 1) {
-      const double prev = geo[s - 1];
-      const double paper_prev = paper_averages[s - 2];
-      const bool measured_better = measured < prev;
-      const bool paper_better = paper < paper_prev;
-      if (paper != paper_prev && measured_better != paper_better) {
-        shape_ok = false;
-      }
-    }
-  }
-  std::cout << (shape_ok ? "\nshape: OK — scheme ranking matches the paper\n"
-                         : "\nshape: MISMATCH in scheme ranking\n");
-  maybe_write_csv(m, o);
-  maybe_write_svg(m, norm, title, "normalized to DCW baseline", o);
-  maybe_write_matrix_json(m, o, title, wall_ms);
-  maybe_trace_run(o);
-  return shape_ok ? 0 : 1;
-}
-
-/// Same driver for higher-is-better metrics (Fig. 13 IPC).
-inline int system_figure_higher(int argc, char** argv, const char* title,
-                                const harness::MetricFn& metric,
-                                const std::vector<double>& paper_averages,
-                                const char* paper_citation) {
-  const Options o = Options::parse(argc, argv);
-  std::cout << title << "\n"
-            << std::string(std::strlen(title), '=') << "\n";
-  std::cout << "(improvement over the DCW baseline; " << paper_citation
-            << ")\n\n";
-
-  const WallTimer timer;
-  const harness::Matrix m = run_paper_matrix(o);
-  const double wall_ms = timer.elapsed_ms();
-  AsciiTable t = harness::normalized_table(m, metric, 0);
-  const auto norm = harness::normalized_values(m, metric, 0);
-  std::vector<std::string> paper_row = {"paper avg", "1.000"};
-  for (const double v : paper_averages) paper_row.push_back(fixed(v, 3));
-  t.add_row(std::move(paper_row));
-  t.print(std::cout);
-
-  std::cout << "\nmeasured geomean vs paper average:\n";
-  const auto& geo = norm.back();
-  bool shape_ok = true;
-  for (std::size_t s = 1; s < m.kinds.size(); ++s) {
-    std::cout << "  " << pad(schemes::scheme_name(m.kinds[s]), 8) << " "
-              << fixed(geo[s], 3) << "x (paper "
-              << fixed(paper_averages[s - 1], 3) << "x)\n";
-    if (s > 1 && (geo[s] > geo[s - 1]) !=
-                     (paper_averages[s - 1] > paper_averages[s - 2])) {
+              << fixed(geo[s], 3) << unit << " (paper " << fixed(paper, 3)
+              << unit << ")\n";
+    // Shape check: the ranking between adjacent schemes must match
+    // wherever the paper ranks them apart.
+    if (s > 1 && paper != paper_averages[s - 2] &&
+        improves(geo[s], geo[s - 1]) !=
+            improves(paper, paper_averages[s - 2])) {
       shape_ok = false;
     }
   }
   std::cout << (shape_ok ? "\nshape: OK — scheme ranking matches the paper\n"
                          : "\nshape: MISMATCH in scheme ranking\n");
   maybe_write_csv(m, o);
-  maybe_write_svg(m, norm, title, "improvement over DCW baseline", o);
+  maybe_write_svg(m, norm, title,
+                  (std::string(relation) + " DCW baseline").c_str(), o);
   maybe_write_matrix_json(m, o, title, wall_ms);
   maybe_trace_run(o);
   return shape_ok ? 0 : 1;

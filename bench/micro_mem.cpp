@@ -18,7 +18,6 @@
 // so the pair of runs is a controlled A/B of the bank-indexed fast path.
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -140,11 +139,10 @@ void run_component_micros() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tw::bench::Options o = tw::bench::Options::parse(argc, argv);
-  bool reference = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reference") == 0) reference = true;
-  }
+  const tw::bench::Options o = tw::bench::Options::parse(
+      argc, argv,
+      {{"reference", "bench the frozen linear-scan reference controller"}});
+  const bool reference = o.has("reference");
   const u64 target = o.quick ? 30'000 : 120'000;
 
   std::printf("micro_mem: controller scheduling throughput%s\n",

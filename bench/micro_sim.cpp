@@ -176,7 +176,9 @@ TraceOverhead measure_trace_overhead(u64 total, u32 chains, u64 seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tw::bench::Options o = tw::bench::Options::parse(argc, argv);
+  const tw::bench::Options o = tw::bench::Options::parse(
+      argc, argv,
+      {{"trace-overhead", "also measure the disabled-tracing overhead"}});
   const u64 total = o.quick ? 2'000'000 : 8'000'000;
   const u32 chains = 64;
 
@@ -208,12 +210,8 @@ int main(int argc, char** argv) {
   std::printf("combined:       %10.1f ms  %12.0f events/sec\n", total_ms,
               eps_all);
 
-  bool want_overhead = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--trace-overhead") want_overhead = true;
-  }
   double overhead_pct = -1.0;
-  if (want_overhead) {
+  if (o.has("trace-overhead")) {
     const u64 oh_events = o.quick ? 1'000'000 : 4'000'000;
     std::printf("\ntracing overhead (%llu events/rep, best of 3):\n",
                 static_cast<unsigned long long>(oh_events));

@@ -4,25 +4,27 @@
 // energy, wear, queue behaviour).
 //
 //   $ ./full_system_sim [--workload=NAME] [--scheme=NAME] [--cache]
-//                       [--instr=N] [--cores=N] [--seed=N]
-//                       [--config=FILE] [--dump-config]
+//                       [--config=FILE] [--dump-config] [--<key>=<value>]
 //
 // With --cache the workload profile is interpreted as CPU-level access
 // rates and filtered through per-core L1/L2/L3 stacks (Table II); without
 // it the profile's RPKI/WPKI are memory-level (Table III semantics).
-// --config loads an experiment configuration file (see
-// tw/harness/config_file.hpp); --dump-config prints the effective
-// configuration in that format and exits.
+// --config loads an experiment configuration file (config_file.hpp); any
+// knob can then be overridden as --<key>=<value> or by its old short flag
+// (--instr=N, --cores=N, --seed=N); --dump-config prints the effective
+// configuration in config-file format and exits; --help lists the knobs.
 
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "tw/common/strings.hpp"
 #include "tw/common/table.hpp"
 #include "tw/core/factory.hpp"
 #include "tw/cpu/multicore.hpp"
 #include "tw/harness/config_file.hpp"
+#include "tw/harness/knobs.hpp"
 #include "tw/workload/cache_filtered.hpp"
 
 using namespace tw;
@@ -34,31 +36,34 @@ int main(int argc, char** argv) {
   bool dump_config = false;
   harness::SystemConfig sys;
   sys.instructions_per_core = 300'000;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (starts_with(arg, "--config=")) {
-      try {
+  std::vector<harness::Setting> overrides;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (starts_with(arg, "--config=")) {
         sys = harness::load_system_config(arg.substr(9));
-      } catch (const std::exception& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
+      } else if (arg == "--help" || arg == "-h") {
+        std::cout << "flags: --workload=NAME --scheme=NAME --cache "
+                     "--config=FILE --dump-config, then knobs:\n";
+        harness::print_knob_help(std::cout);
+        return 0;
+      } else if (starts_with(arg, "--workload=")) {
+        workload_name = arg.substr(11);
+      } else if (starts_with(arg, "--scheme=")) {
+        scheme_name = arg.substr(9);
+      } else if (arg == "--cache") {
+        use_cache = true;
+      } else if (arg == "--dump-config") {
+        dump_config = true;
+      } else if (!harness::expand_flag(arg, overrides)) {
+        throw std::runtime_error(arg + ": unknown flag (see --help)");
       }
     }
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (starts_with(arg, "--workload=")) workload_name = arg.substr(11);
-    if (starts_with(arg, "--scheme=")) scheme_name = arg.substr(9);
-    if (arg == "--cache") use_cache = true;
-    if (arg == "--dump-config") dump_config = true;
-    if (starts_with(arg, "--instr="))
-      sys.instructions_per_core =
-          std::strtoull(arg.c_str() + 8, nullptr, 10);
-    if (starts_with(arg, "--cores="))
-      sys.cores =
-          static_cast<u32>(std::strtoul(arg.c_str() + 8, nullptr, 10));
-    if (starts_with(arg, "--seed="))
-      sys.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+    // Knob flags apply after --config wherever it appears.
+    harness::apply_settings(sys, overrides);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
   if (dump_config) {
     harness::write_system_config(sys, std::cout);

@@ -1,348 +1,14 @@
 #include "tw/harness/config_file.hpp"
 
 #include <fstream>
-#include <functional>
-#include <map>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
+#include <vector>
 
-#include "tw/common/strings.hpp"
+#include "tw/harness/knobs.hpp"
 
 namespace tw::harness {
 namespace {
-
-using Setter = std::function<void(SystemConfig&, const std::string&)>;
-
-u64 to_u64(const std::string& v) {
-  std::size_t pos = 0;
-  const u64 out = std::stoull(v, &pos);
-  if (pos != v.size()) throw std::runtime_error("not an integer: " + v);
-  return out;
-}
-
-double to_double(const std::string& v) {
-  std::size_t pos = 0;
-  const double out = std::stod(v, &pos);
-  if (pos != v.size()) throw std::runtime_error("not a number: " + v);
-  return out;
-}
-
-bool to_bool(const std::string& v) {
-  const std::string s = to_lower(v);
-  if (s == "true" || s == "1" || s == "on" || s == "yes") return true;
-  if (s == "false" || s == "0" || s == "off" || s == "no") return false;
-  throw std::runtime_error("not a boolean: " + v);
-}
-
-const std::map<std::string, Setter>& setters() {
-  static const std::map<std::string, Setter> kSetters = {
-      // -- device timing / power / geometry -------------------------------
-      {"pcm.t_read_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.timing.t_read = ns(to_u64(v));
-       }},
-      {"pcm.t_reset_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.timing.t_reset = ns(to_u64(v));
-       }},
-      {"pcm.t_set_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.timing.t_set = ns(to_u64(v));
-       }},
-      {"pcm.chip_budget",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.power.chip_budget = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.reset_current_ratio",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.power.reset_current_ratio_l = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.gcp",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.power.global_charge_pump = to_bool(v);
-       }},
-      {"pcm.chips_per_bank",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.chips_per_bank = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.chip_write_bits",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.chip_write_bits = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.line_bytes",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.cache_line_bytes = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.banks",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.banks = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.subarrays",
-       [](SystemConfig& c, const std::string& v) {
-         c.pcm.geometry.subarrays_per_bank = static_cast<u32>(to_u64(v));
-       }},
-      {"pcm.channels",
-       [](SystemConfig& c, const std::string& v) {
-         const u64 n = to_u64(v);
-         if (n == 0 || (n & (n - 1)) != 0) {
-           throw std::runtime_error(
-               "channels must be a power of two >= 1 (got " + v +
-               "); the channel decoder extracts log2(channels) address bits");
-         }
-         c.pcm.geometry.channels = static_cast<u32>(n);
-       }},
-      {"pcm.channel_interleave",
-       [](SystemConfig& c, const std::string& v) {
-         const std::string s = to_lower(v);
-         if (s == "line") {
-           c.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kLine;
-         } else if (s == "bank") {
-           c.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kBank;
-         } else if (s == "row") {
-           c.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kRow;
-         } else {
-           throw std::runtime_error("channel_interleave must be line|bank|row");
-         }
-       }},
-      // -- controller ------------------------------------------------------
-      {"controller.read_queue",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.read_queue_entries = static_cast<u32>(to_u64(v));
-       }},
-      {"controller.write_queue",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.write_queue_entries = static_cast<u32>(to_u64(v));
-       }},
-      {"controller.drain",
-       [](SystemConfig& c, const std::string& v) {
-         const std::string s = to_lower(v);
-         if (s == "strict") {
-           c.controller.drain = mem::ControllerConfig::DrainPolicy::kStrict;
-         } else if (s == "opportunistic") {
-           c.controller.drain =
-               mem::ControllerConfig::DrainPolicy::kOpportunistic;
-         } else {
-           throw std::runtime_error("drain must be strict|opportunistic");
-         }
-       }},
-      {"controller.drain_low",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.drain_low_watermark = static_cast<u32>(to_u64(v));
-       }},
-      {"controller.write_coalescing",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.write_coalescing = to_bool(v);
-       }},
-      {"controller.read_forwarding",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.read_forwarding = to_bool(v);
-       }},
-      {"controller.write_pausing",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.write_pausing = to_bool(v);
-       }},
-      {"controller.wear_leveling",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.wear_leveling = to_bool(v);
-       }},
-      {"controller.gap_interval",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.start_gap.gap_write_interval =
-             static_cast<u32>(to_u64(v));
-       }},
-      {"controller.gap_region_lines",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.start_gap.region_lines = to_u64(v);
-       }},
-      {"controller.write_batch",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.write_batch = static_cast<u32>(to_u64(v));
-       }},
-      // -- partition-level parallelism (PALP) -------------------------------
-      {"palp.enabled",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.palp.enabled = to_bool(v);
-       }},
-      {"palp.write_ways",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.palp.write_ways = static_cast<u32>(to_u64(v));
-       }},
-      {"palp.max_rww_reads",
-       [](SystemConfig& c, const std::string& v) {
-         c.controller.palp.max_rww_reads = static_cast<u32>(to_u64(v));
-       }},
-      // -- DRAM front tier ---------------------------------------------------
-      {"dram.enabled",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.enabled = to_bool(v);
-       }},
-      {"dram.capacity_mb",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.capacity_bytes = to_u64(v) * 1024 * 1024;
-       }},
-      {"dram.ways",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.ways = static_cast<u32>(to_u64(v));
-       }},
-      {"dram.policy",
-       [](SystemConfig& c, const std::string& v) {
-         const std::string s = to_lower(v);
-         if (s == "lru") {
-           c.dram.policy = mem::DramPolicy::kLru;
-         } else if (s == "mac") {
-           c.dram.policy = mem::DramPolicy::kMac;
-         } else {
-           throw std::runtime_error("dram.policy must be lru|mac");
-         }
-       }},
-      {"dram.t_row_hit_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.t_row_hit = ns(to_u64(v));
-       }},
-      {"dram.t_row_miss_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.t_row_miss = ns(to_u64(v));
-       }},
-      {"dram.row_lines",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.row_lines = static_cast<u32>(to_u64(v));
-       }},
-      {"dram.banks",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.banks = static_cast<u32>(to_u64(v));
-       }},
-      {"dram.pending_limit",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.pending_limit = static_cast<u32>(to_u64(v));
-       }},
-      {"dram.mac_group",
-       [](SystemConfig& c, const std::string& v) {
-         c.dram.mac_group = static_cast<u32>(to_u64(v));
-       }},
-      // -- content-encoder pre-stage ---------------------------------------
-      {"encode.kind",
-       [](SystemConfig& c, const std::string& v) {
-         const auto k = encode::parse_encoder(to_lower(v));
-         if (!k) {
-           throw std::runtime_error(
-               "encode.kind must be none|flip|wire|coset");
-         }
-         c.encode.kind = *k;
-       }},
-      // -- multi-line batch packing ---------------------------------------
-      {"batch.max_lines",
-       [](SystemConfig& c, const std::string& v) {
-         c.batch.max_lines = static_cast<u32>(to_u64(v));
-       }},
-      // -- cores -----------------------------------------------------------
-      {"core.clock_ps",
-       [](SystemConfig& c, const std::string& v) {
-         c.core.clock_period = to_u64(v);
-       }},
-      {"core.peak_ipc",
-       [](SystemConfig& c, const std::string& v) {
-         c.core.peak_ipc = to_double(v);
-       }},
-      {"core.mlp",
-       [](SystemConfig& c, const std::string& v) {
-         c.core.mlp = static_cast<u32>(to_u64(v));
-       }},
-      // -- tetris ----------------------------------------------------------
-      {"tetris.analysis_cycles",
-       [](SystemConfig& c, const std::string& v) {
-         c.tetris.analysis_cycles = static_cast<u32>(to_u64(v));
-       }},
-      {"tetris.forbid_self_overlap",
-       [](SystemConfig& c, const std::string& v) {
-         c.tetris.forbid_self_overlap = to_bool(v);
-       }},
-      // -- fault injection --------------------------------------------------
-      {"fault.profile",
-       [](SystemConfig& c, const std::string& v) {
-         const auto p = fault::parse_fault_profile(v);
-         if (!p) {
-           throw std::runtime_error(
-               "fault profile must be none|light|heavy|stuck-bank");
-         }
-         c.fault = fault::profile_config(*p);
-       }},
-      {"fault.set_fail_prob",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.set_fail_prob = to_double(v);
-       }},
-      {"fault.reset_fail_prob",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.reset_fail_prob = to_double(v);
-       }},
-      {"fault.max_retries",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.max_retries = static_cast<u32>(to_u64(v));
-       }},
-      {"fault.retry_widening",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.retry_widening = to_double(v);
-       }},
-      {"fault.retry_fail_damping",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.retry_fail_damping = to_double(v);
-       }},
-      {"fault.wear_knee",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.wear_knee = to_u64(v);
-       }},
-      {"fault.worn_fail_prob",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.worn_fail_prob = to_double(v);
-       }},
-      {"fault.stuck_bank",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.stuck_bank = static_cast<u32>(to_u64(v));
-       }},
-      {"fault.stuck_bank_prob",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.stuck_bank_prob = to_double(v);
-       }},
-      {"fault.brownout_period_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.brownout_period = ns(to_u64(v));
-       }},
-      {"fault.brownout_duration_ns",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.brownout_duration = ns(to_u64(v));
-       }},
-      {"fault.brownout_budget_factor",
-       [](SystemConfig& c, const std::string& v) {
-         c.fault.brownout_budget_factor = to_double(v);
-       }},
-      // -- xbar / sharded engine --------------------------------------------
-      {"xbar.latency_ns",
-       [](SystemConfig& c, const std::string& v) {
-         const u64 n = to_u64(v);
-         if (n == 0) {
-           throw std::runtime_error(
-               "xbar latency must be >= 1 ns (it is also the sharded "
-               "engine's lockstep quantum)");
-         }
-         c.xbar_latency = ns(n);
-       }},
-      {"sys.sim_threads",
-       [](SystemConfig& c, const std::string& v) {
-         c.sim_threads = static_cast<u32>(to_u64(v));
-       }},
-      // -- run -------------------------------------------------------------
-      {"sys.cores",
-       [](SystemConfig& c, const std::string& v) {
-         c.cores = static_cast<u32>(to_u64(v));
-       }},
-      {"sys.instructions",
-       [](SystemConfig& c, const std::string& v) {
-         c.instructions_per_core = to_u64(v);
-       }},
-      {"sys.seed",
-       [](SystemConfig& c, const std::string& v) { c.seed = to_u64(v); }},
-  };
-  return kSetters;
-}
 
 std::string trim(const std::string& s) {
   const auto b = s.find_first_not_of(" \t\r");
@@ -354,7 +20,7 @@ std::string trim(const std::string& s) {
 }  // namespace
 
 SystemConfig parse_system_config(std::istream& in) {
-  SystemConfig cfg;
+  std::vector<Setting> settings;
   std::string line;
   int lineno = 0;
   while (std::getline(in, line)) {
@@ -363,25 +29,17 @@ SystemConfig parse_system_config(std::istream& in) {
     if (hash != std::string::npos) line.erase(hash);
     const std::string trimmed = trim(line);
     if (trimmed.empty()) continue;
+    const std::string where = "config line " + std::to_string(lineno);
     const auto eq = trimmed.find('=');
     if (eq == std::string::npos) {
-      throw std::runtime_error("config line " + std::to_string(lineno) +
-                               ": expected key = value");
+      throw std::runtime_error(where + ": expected key = value");
     }
     const std::string key = trim(trimmed.substr(0, eq));
-    const std::string value = trim(trimmed.substr(eq + 1));
-    const auto it = setters().find(key);
-    if (it == setters().end()) {
-      throw std::runtime_error("config line " + std::to_string(lineno) +
-                               ": unknown key '" + key + "'");
-    }
-    try {
-      it->second(cfg, value);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("config line " + std::to_string(lineno) +
-                               " (" + key + "): " + e.what());
-    }
+    settings.push_back(
+        {key, trim(trimmed.substr(eq + 1)), where + " (" + key + ")"});
   }
+  SystemConfig cfg;
+  apply_settings(cfg, settings);
   return cfg;
 }
 
@@ -393,105 +51,9 @@ SystemConfig load_system_config(const std::string& path) {
 
 void write_system_config(const SystemConfig& cfg, std::ostream& out) {
   out << "# tetriswrite experiment configuration\n";
-  out << "pcm.t_read_ns = " << cfg.pcm.timing.t_read / 1000 << "\n";
-  out << "pcm.t_reset_ns = " << cfg.pcm.timing.t_reset / 1000 << "\n";
-  out << "pcm.t_set_ns = " << cfg.pcm.timing.t_set / 1000 << "\n";
-  out << "pcm.chip_budget = " << cfg.pcm.power.chip_budget << "\n";
-  out << "pcm.reset_current_ratio = " << cfg.pcm.power.reset_current_ratio_l
-      << "\n";
-  out << "pcm.gcp = " << (cfg.pcm.power.global_charge_pump ? "true" : "false")
-      << "\n";
-  out << "pcm.chips_per_bank = " << cfg.pcm.geometry.chips_per_bank << "\n";
-  out << "pcm.chip_write_bits = " << cfg.pcm.geometry.chip_write_bits << "\n";
-  out << "pcm.line_bytes = " << cfg.pcm.geometry.cache_line_bytes << "\n";
-  out << "pcm.banks = " << cfg.pcm.geometry.banks << "\n";
-  out << "pcm.subarrays = " << cfg.pcm.geometry.subarrays_per_bank << "\n";
-  out << "pcm.channels = " << cfg.pcm.geometry.channels << "\n";
-  out << "pcm.channel_interleave = "
-      << pcm::channel_interleave_name(cfg.pcm.geometry.channel_interleave)
-      << "\n";
-  out << "controller.read_queue = " << cfg.controller.read_queue_entries
-      << "\n";
-  out << "controller.write_queue = " << cfg.controller.write_queue_entries
-      << "\n";
-  out << "controller.drain = "
-      << (cfg.controller.drain == mem::ControllerConfig::DrainPolicy::kStrict
-              ? "strict"
-              : "opportunistic")
-      << "\n";
-  out << "controller.drain_low = " << cfg.controller.drain_low_watermark
-      << "\n";
-  out << "controller.write_coalescing = "
-      << (cfg.controller.write_coalescing ? "true" : "false") << "\n";
-  out << "controller.read_forwarding = "
-      << (cfg.controller.read_forwarding ? "true" : "false") << "\n";
-  out << "controller.write_pausing = "
-      << (cfg.controller.write_pausing ? "true" : "false") << "\n";
-  out << "controller.wear_leveling = "
-      << (cfg.controller.wear_leveling ? "true" : "false") << "\n";
-  out << "controller.gap_interval = "
-      << cfg.controller.start_gap.gap_write_interval << "\n";
-  out << "controller.gap_region_lines = "
-      << cfg.controller.start_gap.region_lines << "\n";
-  out << "controller.write_batch = " << cfg.controller.write_batch << "\n";
-  if (cfg.controller.palp.enabled) {
-    // Only emitted when PALP is on, so PALP-off dumps are unchanged.
-    out << "palp.enabled = true\n";
-    out << "palp.write_ways = " << cfg.controller.palp.write_ways << "\n";
-    out << "palp.max_rww_reads = " << cfg.controller.palp.max_rww_reads
-        << "\n";
+  for (const Knob& k : knob_table()) {
+    if (knob_dumped(k, cfg)) out << k.key << " = " << k.get(cfg) << "\n";
   }
-  if (cfg.dram.enabled) {
-    // Only emitted when the tier is on, so tier-off dumps are unchanged.
-    out << "dram.enabled = true\n";
-    out << "dram.capacity_mb = " << cfg.dram.capacity_bytes / (1024 * 1024)
-        << "\n";
-    out << "dram.ways = " << cfg.dram.ways << "\n";
-    out << "dram.policy = " << mem::dram_policy_name(cfg.dram.policy)
-        << "\n";
-    out << "dram.t_row_hit_ns = " << cfg.dram.t_row_hit / 1000 << "\n";
-    out << "dram.t_row_miss_ns = " << cfg.dram.t_row_miss / 1000 << "\n";
-    out << "dram.row_lines = " << cfg.dram.row_lines << "\n";
-    out << "dram.banks = " << cfg.dram.banks << "\n";
-    out << "dram.pending_limit = " << cfg.dram.pending_limit << "\n";
-    out << "dram.mac_group = " << cfg.dram.mac_group << "\n";
-  }
-  if (cfg.encode.enabled()) {
-    // Only emitted when an encoder is on, so encoder-off dumps are
-    // unchanged.
-    out << "encode.kind = " << encode::encoder_name(cfg.encode.kind) << "\n";
-  }
-  out << "batch.max_lines = " << cfg.batch.max_lines << "\n";
-  out << "core.clock_ps = " << cfg.core.clock_period << "\n";
-  out << "core.peak_ipc = " << cfg.core.peak_ipc << "\n";
-  out << "core.mlp = " << cfg.core.mlp << "\n";
-  out << "tetris.analysis_cycles = " << cfg.tetris.analysis_cycles << "\n";
-  out << "tetris.forbid_self_overlap = "
-      << (cfg.tetris.forbid_self_overlap ? "true" : "false") << "\n";
-  if (cfg.fault.enabled()) {
-    // Only emitted when faults are on, so fault-free dumps are unchanged.
-    out << "fault.set_fail_prob = " << cfg.fault.set_fail_prob << "\n";
-    out << "fault.reset_fail_prob = " << cfg.fault.reset_fail_prob << "\n";
-    out << "fault.max_retries = " << cfg.fault.max_retries << "\n";
-    out << "fault.retry_widening = " << cfg.fault.retry_widening << "\n";
-    out << "fault.retry_fail_damping = " << cfg.fault.retry_fail_damping
-        << "\n";
-    out << "fault.wear_knee = " << cfg.fault.wear_knee << "\n";
-    out << "fault.worn_fail_prob = " << cfg.fault.worn_fail_prob << "\n";
-    out << "fault.stuck_bank = " << cfg.fault.stuck_bank << "\n";
-    out << "fault.stuck_bank_prob = " << cfg.fault.stuck_bank_prob << "\n";
-    out << "fault.brownout_period_ns = " << cfg.fault.brownout_period / 1000
-        << "\n";
-    out << "fault.brownout_duration_ns = "
-        << cfg.fault.brownout_duration / 1000 << "\n";
-    out << "fault.brownout_budget_factor = "
-        << cfg.fault.brownout_budget_factor << "\n";
-  }
-  out << "xbar.latency_ns = " << cfg.xbar_latency / 1000 << "\n";
-  out << "sys.sim_threads = " << cfg.sim_threads << "\n";
-  out << "sys.cores = " << cfg.cores << "\n";
-  out << "sys.instructions = " << cfg.instructions_per_core << "\n";
-  out << "sys.seed = " << cfg.seed << "\n";
 }
 
 }  // namespace tw::harness
