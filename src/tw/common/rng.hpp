@@ -14,6 +14,53 @@
 
 namespace tw {
 
+namespace rng_detail {
+
+__extension__ using u128 = unsigned __int128;
+
+/// Bounds up to this take Rng::below's division-free path (bit positions
+/// within a 64-bit data unit, the generator's hot case).
+inline constexpr u64 kSmallBoundMax = 64;
+
+/// 2^64 mod bound, by division. Rng::below redraws values under it so the
+/// remainder stays unbiased.
+constexpr u64 division_threshold(u64 bound) { return (~bound + 1) % bound; }
+
+/// Per-bound constants of the division-free path, computed at compile time.
+struct SmallDivisor {
+  u64 threshold;  ///< 2^64 mod d
+  u64 fold;       ///< 2^32 mod d
+  u64 magic;      ///< ceil(2^64 / d); wraps to 0 for d == 1 (remainder 0)
+};
+
+inline constexpr auto kSmallDivisors = [] {
+  std::array<SmallDivisor, kSmallBoundMax + 1> t{};
+  for (u64 d = 1; d <= kSmallBoundMax; ++d) {
+    t[d] = {division_threshold(d), (u64{1} << 32) % d, ~u64{0} / d + 1};
+  }
+  return t;
+}();
+
+/// Rejection threshold of Rng::below: a table entry for small bounds.
+constexpr u64 reject_threshold(u64 bound) {
+  return bound <= kSmallBoundMax ? kSmallDivisors[bound].threshold
+                                 : division_threshold(bound);
+}
+
+/// r mod bound for 1 <= bound <= kSmallBoundMax, without a divide. Folding
+/// the high half in (2^32 == fold mod d) leaves n < 2^38 with the same
+/// remainder; then Lemire's direct remainder, ((M * n) mod 2^64) * d / 2^64
+/// with M = ceil(2^64 / d), is exact because 64 >= 38 + log2(d) (Lemire,
+/// Kaser & Kurz, "Faster Remainder by Direct Computation", 2019).
+constexpr u64 small_mod(u64 r, u64 bound) {
+  const SmallDivisor& s = kSmallDivisors[bound];
+  const u64 n = (r >> 32) * s.fold + (r & 0xFFFF'FFFFull);
+  const u64 low = s.magic * n;
+  return static_cast<u64>((static_cast<u128>(low) * bound) >> 64);
+}
+
+}  // namespace rng_detail
+
 /// SplitMix64: used for seeding / stream splitting (Steele et al.).
 class SplitMix64 {
  public:
@@ -60,16 +107,19 @@ class Rng {
     return result;
   }
 
-  /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
+  /// Uniform integer in [0, bound): redraw below 2^64 mod bound, then take
+  /// the remainder. Bounds up to 64 skip the hardware divide (same draws,
+  /// same results; see rng_detail).
   u64 below(u64 bound) {
     TW_EXPECTS(bound > 0);
-    // Simple modulo-debiased loop; bound is tiny in all our uses.
-    const u64 threshold = (~bound + 1) % bound;  // 2^64 mod bound
+    const u64 threshold = rng_detail::reject_threshold(bound);
     u64 r;
     do {
       r = next();
     } while (r < threshold);
-    return r % bound;
+    return bound <= rng_detail::kSmallBoundMax
+               ? rng_detail::small_mod(r, bound)
+               : r % bound;
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -96,12 +146,19 @@ class Rng {
     return v < 1.0 ? 1 : static_cast<u64>(v);
   }
 
+  /// The Knuth-loop limit of poisson(lambda): exp(-lambda). Callers that
+  /// draw many samples at one mean compute it once.
+  static double poisson_limit(double lambda) { return std::exp(-lambda); }
+
   /// Poisson sample (Knuth for small lambda, normal approx for large).
-  u64 poisson(double lambda) {
+  u64 poisson(double lambda) { return poisson(lambda, poisson_limit(lambda)); }
+
+  /// poisson(lambda) with its limit precomputed: `limit` must be
+  /// poisson_limit(lambda).
+  u64 poisson(double lambda, double limit) {
     TW_EXPECTS(lambda >= 0.0);
     if (lambda <= 0.0) return 0;
     if (lambda < 30.0) {
-      const double limit = std::exp(-lambda);
       u64 k = 0;
       double p = 1.0;
       do {

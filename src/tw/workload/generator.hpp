@@ -57,6 +57,8 @@ class TraceGenerator : public RequestSource {
   u32 units_per_line_;
   u32 unit_bits_;
   double shared_frac_;
+  double set_limit_;    ///< Rng::poisson_limit(profile_.mean_sets)
+  double reset_limit_;  ///< Rng::poisson_limit(profile_.mean_resets)
   std::vector<Rng> core_rng_;
   std::vector<bool> in_burst_;  ///< per-core ON/OFF modulation state
 };
