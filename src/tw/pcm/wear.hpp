@@ -3,9 +3,10 @@
 // ~10^8 programs; schemes that write fewer bits (DCW-family, Tetris) extend
 // lifetime. Tracked sparsely by line address.
 
-#include <unordered_map>
+#include <vector>
 
 #include "tw/common/bits.hpp"
+#include "tw/common/flat_map.hpp"
 #include "tw/common/types.hpp"
 
 namespace tw::pcm {
@@ -51,12 +52,13 @@ inline LifetimeEstimate estimate_lifetime(const WearSummary& wear,
   return e;
 }
 
-/// Sparse wear tracker keyed by line address.
+/// Sparse wear tracker keyed by line address: a FlatIndexMap into a dense
+/// per-line table (it sits on every controller write).
 class WearTracker {
  public:
   /// Record a line write that programmed the given transitions.
   void record(Addr line_addr, const BitTransitions& t) {
-    auto& w = wear_[line_addr];
+    LineWear& w = entry(line_addr);
     w.writes += 1;
     w.bits_programmed += t.total();
   }
@@ -65,19 +67,19 @@ class WearTracker {
   /// fault-injection retry re-drives. Wear accrues (the pulses were
   /// driven) but the service count, and with it bits-per-write, does not.
   void record_retry(Addr line_addr, const BitTransitions& t) {
-    wear_[line_addr].bits_programmed += t.total();
+    entry(line_addr).bits_programmed += t.total();
   }
 
   /// Wear state of one line (zero-initialized if untouched).
   LineWear line(Addr line_addr) const {
-    const auto it = wear_.find(line_addr);
-    return it == wear_.end() ? LineWear{} : it->second;
+    const u32 idx = index_.find(line_addr);
+    return idx == FlatIndexMap::kNoIndex ? LineWear{} : lines_[idx];
   }
 
   WearSummary summary() const {
     WearSummary s;
-    s.lines_touched = wear_.size();
-    for (const auto& [_, w] : wear_) {
+    s.lines_touched = lines_.size();
+    for (const LineWear& w : lines_) {
       s.total_writes += w.writes;
       s.total_bits += w.bits_programmed;
       if (w.bits_programmed > s.max_line_bits)
@@ -91,10 +93,24 @@ class WearTracker {
     return s;
   }
 
-  void reset() { wear_.clear(); }
+  void reset() {
+    index_ = FlatIndexMap{};
+    lines_.clear();
+  }
 
  private:
-  std::unordered_map<Addr, LineWear> wear_;
+  LineWear& entry(Addr line_addr) {
+    u32 idx = index_.find(line_addr);
+    if (idx == FlatIndexMap::kNoIndex) {
+      idx = static_cast<u32>(lines_.size());
+      index_.insert(line_addr, idx);
+      lines_.emplace_back();
+    }
+    return lines_[idx];
+  }
+
+  FlatIndexMap index_;
+  std::vector<LineWear> lines_;  ///< indexed by index_
 };
 
 }  // namespace tw::pcm
