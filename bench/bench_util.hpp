@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -109,7 +110,11 @@ struct Options {
       } else if (name == "--trace-metrics") {
         o.trace_metrics_path = value;
       } else if (name == "--trace-categories") {
-        o.trace_categories = trace::parse_categories(value.c_str());
+        try {
+          o.trace_categories = trace::parse_categories(value.c_str());
+        } catch (const std::invalid_argument& e) {
+          fail(arg + ": " + e.what());
+        }
       } else if (std::any_of(extra.begin(), extra.end(), declared)) {
         o.extras.push_back(arg.substr(2));
       } else {

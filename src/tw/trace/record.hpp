@@ -170,8 +170,8 @@ const char* category_name(Category c);
 const char* track_domain_name(Track t);
 
 /// Parse a comma-separated category list ("controller,fsm", "all",
-/// "none") into a mask. Unknown names are ignored; returns kAllCategories
-/// for an empty string.
+/// "none") into a mask; returns kAllCategories for an empty string. An
+/// unknown name throws std::invalid_argument naming it.
 u32 parse_categories(const char* csv);
 /// Render a mask back to the comma-separated spelling.
 // (Defined in tracer.cpp with the other string tables.)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace tw::trace {
 
@@ -113,9 +115,17 @@ u32 parse_categories(const char* csv) {
     } else if (is("none")) {
       mask = 0;
     } else {
+      bool known = false;
       for (u32 i = 0; i < kCategoryCount; ++i) {
         const auto c = static_cast<Category>(i);
-        if (is(category_name(c))) mask |= category_bit(c);
+        if (is(category_name(c))) {
+          mask |= category_bit(c);
+          known = true;
+        }
+      }
+      if (!known) {
+        throw std::invalid_argument("unknown trace category '" +
+                                    std::string(p, len) + "'");
       }
     }
     p = (*end == ',') ? end + 1 : end;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,9 +157,8 @@ TEST(TraceCategoryTest, ParseSpellings) {
   EXPECT_EQ(trace::parse_categories("controller,fsm"),
             trace::category_bit(Category::kController) |
                 trace::category_bit(Category::kFsm));
-  // Unknown names are ignored, not fatal.
-  EXPECT_EQ(trace::parse_categories("bogus,cache"),
-            trace::category_bit(Category::kCache));
+  // An unknown name is rejected, not silently dropped.
+  EXPECT_THROW(trace::parse_categories("bogus,cache"), std::invalid_argument);
 }
 
 TEST(TraceCategoryTest, ListRoundTrips) {
