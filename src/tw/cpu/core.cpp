@@ -10,13 +10,14 @@ namespace tw::cpu {
 
 Core::Core(sim::Simulator& sim, u32 id, CoreConfig cfg,
            mem::MemoryInterface& mem, workload::RequestSource& gen,
-           u64 instruction_budget)
+           u64 instruction_budget, StallFifo& stalled)
     : sim_(sim),
       id_(id),
       cfg_(cfg),
       clock_(cfg.clock_period),
       ctl_(mem),
       gen_(gen),
+      stalled_(stalled),
       budget_(instruction_budget) {
   TW_EXPECTS(cfg.valid());
   TW_EXPECTS(instruction_budget > 0);
@@ -39,6 +40,10 @@ void Core::execute_gap() {
     trace::ScopedContext tctx(sim_.now(),
                               trace::track_id(trace::Track::kCache, id_));
     pending_ = gen_.next(id_);
+    if (pending_.is_write) {
+      pending_data_ = gen_.make_write_data(
+          pending_.addr, ctl_.store_for(pending_.addr), id_);
+    }
     has_pending_ = true;
   }
   state_ = State::kExecuting;
@@ -67,10 +72,9 @@ void Core::try_issue() {
 
   if (pending_.is_write) {
     req.type = mem::ReqType::kWrite;
-    req.data = gen_.make_write_data(pending_.addr, ctl_.store_for(pending_.addr), id_);
+    req.data = pending_data_;
     if (!ctl_.enqueue(std::move(req))) {
-      if (state_ != State::kStallQueue) ++stall_events_;
-      state_ = State::kStallQueue;
+      stall_on_queue();
       return;  // resumed by on_queue_space
     }
     ++writes_issued_;
@@ -82,8 +86,7 @@ void Core::try_issue() {
     }
     req.type = mem::ReqType::kRead;
     if (!ctl_.enqueue(std::move(req))) {
-      if (state_ != State::kStallQueue) ++stall_events_;
-      state_ = State::kStallQueue;
+      stall_on_queue();
       return;
     }
     ++outstanding_reads_;
@@ -96,6 +99,14 @@ void Core::try_issue() {
   execute_gap();
 }
 
+void Core::stall_on_queue() {
+  // A refused retry keeps the core's place in the FIFO.
+  if (state_ == State::kStallQueue) return;
+  ++stall_events_;
+  state_ = State::kStallQueue;
+  stalled_.push_back(this);
+}
+
 void Core::on_read_complete() {
   TW_ASSERT(outstanding_reads_ > 0);
   --outstanding_reads_;
@@ -106,8 +117,9 @@ void Core::on_read_complete() {
   }
 }
 
-void Core::on_queue_space() {
+bool Core::on_queue_space() {
   if (state_ == State::kStallQueue) try_issue();
+  return state_ != State::kStallQueue;
 }
 
 void Core::finish_if_done() {

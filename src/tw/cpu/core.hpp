@@ -8,6 +8,14 @@
 // posted to the controller's write queue and only stall the core on
 // queue-full backpressure — exactly the couplings that turn write-service
 // time into IPC/runtime effects in the paper.
+//
+// A write's payload is drawn once, when the request forms (right after
+// the stream hands out the op), and travels with it: an enqueue the
+// controller refuses draws nothing, and the retry sends the same line.
+// Cores stalled on a full queue wait in their owner's stall FIFO and
+// retry oldest stall first whenever queue space frees.
+
+#include <vector>
 
 #include "tw/common/types.hpp"
 #include "tw/mem/interface.hpp"
@@ -27,12 +35,19 @@ struct CoreConfig {
   }
 };
 
+class Core;
+
+/// Cores stalled on a full controller queue, oldest stall first. A core
+/// appends itself when it first stalls; its owner removes it once a
+/// retry is accepted.
+using StallFifo = std::vector<Core*>;
+
 /// One simulated core running a fixed instruction budget.
 class Core {
  public:
   Core(sim::Simulator& sim, u32 id, CoreConfig cfg,
        mem::MemoryInterface& mem, workload::RequestSource& gen,
-       u64 instruction_budget);
+       u64 instruction_budget, StallFifo& stalled);
 
   /// Begin execution (schedules the first event).
   void start();
@@ -40,8 +55,9 @@ class Core {
   /// Deliver a completed read (called by the owner's demux).
   void on_read_complete();
 
-  /// Queue space became available; retry a stalled issue.
-  void on_queue_space();
+  /// Queue space became available; retry a stalled issue. Returns true
+  /// when the core is no longer queue-stalled.
+  bool on_queue_space();
 
   bool finished() const { return finished_; }
   Tick finish_tick() const { return finish_tick_; }
@@ -67,6 +83,7 @@ class Core {
 
   void execute_gap();
   void try_issue();
+  void stall_on_queue();
   void finish_if_done();
 
   sim::Simulator& sim_;
@@ -75,6 +92,7 @@ class Core {
   sim::Clock clock_;
   mem::MemoryInterface& ctl_;
   workload::RequestSource& gen_;
+  StallFifo& stalled_;
 
   u64 budget_;
   u64 retired_ = 0;
@@ -84,6 +102,7 @@ class Core {
   u64 stall_events_ = 0;
   State state_ = State::kIdle;
   workload::TraceOp pending_{};
+  pcm::LogicalLine pending_data_;  ///< the pending write's payload
   bool has_pending_ = false;
   bool finished_ = false;
   Tick finish_tick_ = 0;

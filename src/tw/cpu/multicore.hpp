@@ -34,9 +34,14 @@ class MultiCore {
   u32 core_count() const { return static_cast<u32>(cores_.size()); }
 
  private:
+  /// Retries queue-stalled cores oldest stall first; a refused core
+  /// keeps its place.
+  void retry_stalled();
+
   sim::Simulator& sim_;
   CoreConfig cfg_;
   std::vector<std::unique_ptr<Core>> cores_;
+  StallFifo stalled_;
 };
 
 }  // namespace tw::cpu
