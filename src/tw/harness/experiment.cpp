@@ -282,8 +282,13 @@ u64 config_hash(const SystemConfig& cfg) {
   h = mix(h, cfg.controller.start_gap.gap_write_interval);
   h = mix(h, cfg.controller.write_batch);
   h = mix(h, (cfg.controller.palp.enabled ? 1 : 0));
-  h = mix(h, cfg.controller.palp.write_ways);
-  h = mix(h, cfg.controller.palp.max_rww_reads);
+  // A group a dump omits while it is off (PALP, fault injection, the
+  // DRAM tier, the encoder) is mixed only while it is on, so a
+  // dump -> parse round trip keeps the hash.
+  if (cfg.controller.palp.enabled) {
+    h = mix(h, cfg.controller.palp.write_ways);
+    h = mix(h, cfg.controller.palp.max_rww_reads);
+  }
   h = mix(h, cfg.batch.max_lines);
   // Core model.
   h = mix(h, cfg.core.clock_period);
@@ -302,18 +307,21 @@ u64 config_hash(const SystemConfig& cfg) {
   h = mix(h, cfg.seed);
   h = mix(h, cfg.max_sim_time);
   // Fault injection.
-  h = mix_double(h, cfg.fault.set_fail_prob);
-  h = mix_double(h, cfg.fault.reset_fail_prob);
-  h = mix(h, cfg.fault.max_retries);
-  h = mix_double(h, cfg.fault.retry_widening);
-  h = mix_double(h, cfg.fault.retry_fail_damping);
-  h = mix(h, cfg.fault.wear_knee);
-  h = mix_double(h, cfg.fault.worn_fail_prob);
-  h = mix(h, cfg.fault.stuck_bank);
-  h = mix_double(h, cfg.fault.stuck_bank_prob);
-  h = mix(h, cfg.fault.brownout_period);
-  h = mix(h, cfg.fault.brownout_duration);
-  h = mix_double(h, cfg.fault.brownout_budget_factor);
+  if (cfg.fault.enabled()) {
+    h = mix(h, 3);
+    h = mix_double(h, cfg.fault.set_fail_prob);
+    h = mix_double(h, cfg.fault.reset_fail_prob);
+    h = mix(h, cfg.fault.max_retries);
+    h = mix_double(h, cfg.fault.retry_widening);
+    h = mix_double(h, cfg.fault.retry_fail_damping);
+    h = mix(h, cfg.fault.wear_knee);
+    h = mix_double(h, cfg.fault.worn_fail_prob);
+    h = mix(h, cfg.fault.stuck_bank);
+    h = mix_double(h, cfg.fault.stuck_bank_prob);
+    h = mix(h, cfg.fault.brownout_period);
+    h = mix(h, cfg.fault.brownout_duration);
+    h = mix_double(h, cfg.fault.brownout_budget_factor);
+  }
   // DRAM front tier: mixed only when enabled so every tier-off config
   // keeps the hash it had before the tier existed.
   if (cfg.dram.enabled) {

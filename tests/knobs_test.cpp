@@ -211,6 +211,46 @@ TEST(KnobTable, DoublesRoundTripExactly) {
   EXPECT_EQ(back.fault.set_fail_prob, cfg.fault.set_fail_prob);
 }
 
+// Fields of a group that is off: a dump omits the group, so the hash must
+// ignore them too, or dump -> parse would change it.
+TEST(KnobTable, OffGroupFieldsLeaveHashAndDumpAlone) {
+  const std::vector<std::vector<Setting>> changes = {
+      {{"palp.write_ways", "4", "test"}},
+      {{"palp.max_rww_reads", "1", "test"}},
+      {{"fault.max_retries", "7", "test"}},
+      {{"fault.retry_widening", "1.5", "test"}},
+      {{"fault.retry_fail_damping", "0.25", "test"}},
+      {{"fault.worn_fail_prob", "0.125", "test"}},
+      // Brown-out needs all three of period, duration and factor < 1.
+      {{"fault.brownout_period_ns", "1000", "test"}},
+      {{"fault.brownout_duration_ns", "100", "test"}},
+      {{"fault.brownout_budget_factor", "0.5", "test"}},
+      {{"fault.brownout_period_ns", "1000", "test"},
+       {"fault.brownout_duration_ns", "100", "test"}},
+      {{"fault.brownout_period_ns", "1000", "test"},
+       {"fault.brownout_budget_factor", "0.5", "test"}},
+      {{"fault.brownout_duration_ns", "100", "test"},
+       {"fault.brownout_budget_factor", "0.5", "test"}},
+  };
+  const SystemConfig base;
+  for (const std::vector<Setting>& change : changes) {
+    SCOPED_TRACE(change.back().key);
+    SystemConfig cfg;
+    harness::apply_settings(cfg, change);
+    ASSERT_FALSE(cfg.controller.palp.enabled);
+    ASSERT_FALSE(cfg.fault.enabled());
+    for (const Setting& s : change) {
+      const Knob* k = harness::find_knob(s.key);
+      ASSERT_NE(k, nullptr);
+      ASSERT_NE(k->get(cfg), k->get(base)) << "not a change";
+    }
+    EXPECT_EQ(harness::config_hash(cfg), harness::config_hash(base));
+    const SystemConfig back = parse(dump(cfg));
+    EXPECT_EQ(harness::config_hash(back), harness::config_hash(cfg));
+    EXPECT_EQ(dump(back), dump(cfg));
+  }
+}
+
 // ----------------------------------------------------------- aliases --
 
 SystemConfig from_flags(const std::string& flags) {
@@ -230,8 +270,9 @@ TEST(KnobAliases, EveryOldFlagMatchesItsKeyForm) {
       {"--channels=4", "--pcm.channels=4"},
       {"--interleave=row", "--pcm.channel_interleave=row"},
       {"--palp", "--palp.enabled=true"},
-      {"--palp-ways=4", "--palp.write_ways=4"},
-      {"--palp-rww=1", "--palp.max_rww_reads=1"},
+      // PALP's fields count only while PALP is on.
+      {"--palp --palp-ways=4", "--palp.enabled=true --palp.write_ways=4"},
+      {"--palp --palp-rww=1", "--palp.enabled=true --palp.max_rww_reads=1"},
       {"--dram", "--dram.enabled=true"},
       {"--dram-mb=8", "--dram.enabled=true --dram.capacity_mb=8"},
       {"--dram-policy=mac", "--dram.enabled=true --dram.policy=mac"},
