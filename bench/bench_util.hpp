@@ -9,25 +9,33 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "tw/common/parallel.hpp"
 #include "tw/common/strings.hpp"
 #include "tw/common/svg.hpp"
+#include "tw/core/factory.hpp"
+#include "tw/encode/encoded_scheme.hpp"
 #include "tw/harness/figure.hpp"
 #include "tw/harness/knobs.hpp"
+#include "tw/pcm/energy.hpp"
+#include "tw/stats/accumulator.hpp"
 #include "tw/trace/record.hpp"
+#include "tw/workload/generator.hpp"
 
 namespace tw::bench {
 
-/// A flag one binary adds to the shared set (micro_sim --trace-overhead).
+/// A flag one binary adds to the shared set (micro_sim --trace-overhead,
+/// tw_sweep --vary=...).
 struct ExtraFlag {
   std::string_view name;  ///< without the leading "--"
   std::string_view help;
+  bool takes_value = false;  ///< given as --name=VALUE, possibly repeated
 };
 
 /// Command-line options common to all figure binaries. Simulator knobs
@@ -49,17 +57,29 @@ struct Options {
   /// Knob settings in command-line order, already checked to parse and to
   /// leave Table II consistent.
   std::vector<harness::Setting> overrides;
-  std::vector<std::string> extras;  ///< ExtraFlag names that were given
+  /// ExtraFlags that were given, as "name" or "name=value", in order.
+  std::vector<std::string> extras;
 
   bool has(std::string_view flag) const {
     return std::find(extras.begin(), extras.end(), flag) != extras.end();
   }
 
+  /// The values of every --flag=VALUE given, in command-line order.
+  std::vector<std::string> values(std::string_view flag) const {
+    std::vector<std::string> out;
+    const std::string prefix = std::string(flag) + "=";
+    for (const std::string& e : extras) {
+      if (starts_with(e, prefix)) out.push_back(e.substr(prefix.size()));
+    }
+    return out;
+  }
+
   /// Unknown flags, malformed values and inconsistent configs print an
   /// error naming the flag and exit 2.
   static Options parse(int argc, char** argv,
-                       std::initializer_list<ExtraFlag> extra = {}) {
+                       const std::vector<ExtraFlag>& extra = {}) {
     Options o;
+    bool ops_given = false;  // an explicit --ops outranks --quick's default
     const auto fail = [&](const std::string& msg) {
       std::cerr << argv[0] << ": " << msg << " (see --help)\n";
       std::exit(2);
@@ -71,7 +91,9 @@ struct Options {
       const std::string value =
           eq == std::string::npos ? "" : arg.substr(eq + 1);
       const auto declared = [&](const ExtraFlag& f) {
-        return arg == "--" + std::string(f.name);
+        return f.takes_value ? name == "--" + std::string(f.name) &&
+                                   eq != std::string::npos
+                             : arg == "--" + std::string(f.name);
       };
       const auto number = [&] {
         const auto n = harness::parse_u64(value);
@@ -84,7 +106,8 @@ struct Options {
                      "  --csv=PATH --svg=PATH --json=PATH --trace=PATH\n"
                      "  --trace-metrics=PATH --trace-categories=LIST\n";
         for (const ExtraFlag& f : extra) {
-          std::cout << "  --" << f.name << "  " << f.help << "\n";
+          std::cout << "  --" << f.name << (f.takes_value ? "=..." : "")
+                    << "  " << f.help << "\n";
         }
         std::cout << "simulator knobs (--<key>=<value>, applied in order; "
                      "old flag in brackets):\n";
@@ -92,9 +115,10 @@ struct Options {
         std::exit(0);
       } else if (arg == "--quick") {
         o.quick = true;
-        o.target_ops_per_core = 400;
+        if (!ops_given) o.target_ops_per_core = 400;
       } else if (name == "--ops") {
         o.target_ops_per_core = number();
+        ops_given = true;
       } else if (name == "--seed") {
         o.seed = number();
       } else if (name == "--threads") {
@@ -199,6 +223,77 @@ inline harness::SystemConfig system_config(
   return cfg;
 }
 
+/// The offline write stream: `writes` line writes of `p` from one trace
+/// generator, each planned by `kind` (behind cfg's encoder) against the
+/// scheme's own memory image, with no controller, queue or core model.
+/// Fills writes, the total write_energy_pj and the per-write means
+/// write_units, write_service_ns, bits_per_write and sets_per_write.
+inline harness::RunMetrics plan_stream(const harness::SystemConfig& cfg,
+                                       const workload::WorkloadProfile& p,
+                                       schemes::SchemeKind kind, u64 writes) {
+  mem::DataStore store(cfg.pcm.geometry.units_per_line(), cfg.seed,
+                       p.initial_ones_fraction);
+  workload::TraceGenerator gen(p, cfg.pcm.geometry, 1, cfg.seed + 1);
+  const auto scheme = encode::wrap_scheme(
+      core::make_scheme(kind, cfg.pcm, cfg.tetris), cfg.encode.kind);
+  if (scheme->transforms_content()) {
+    store.set_decoder(scheme.get(),
+                      [](const void* ctx, const pcm::LineBuf& l) {
+                        return static_cast<const schemes::WriteScheme*>(ctx)
+                            ->decode_stored(l);
+                      });
+  }
+  pcm::EnergyModel energy(cfg.pcm.energy);
+  stats::Accumulator units, service, bits, sets;
+  for (u64 n = 0; n < writes;) {
+    const workload::TraceOp op = gen.next(0);
+    if (!op.is_write) continue;
+    const pcm::LogicalLine next = gen.make_write_data(op.addr, store, 0);
+    const auto plan = scheme->plan_write(store.line(op.addr), next);
+    units.add(plan.write_units);
+    service.add(to_ns(plan.latency));
+    bits.add(static_cast<double>(plan.programmed.total()));
+    sets.add(static_cast<double>(plan.programmed.sets));
+    energy.add_write(plan.programmed);
+    ++n;
+  }
+  harness::RunMetrics m;
+  m.workload = p.name;
+  m.scheme = std::string(schemes::scheme_name(kind));
+  m.completed = true;
+  m.writes = writes;
+  m.write_energy_pj = energy.write_energy_pj();
+  m.write_units = units.mean();
+  m.write_service_ns = service.mean();
+  m.bits_per_write = bits.mean();
+  m.sets_per_write = sets.mean();
+  return m;
+}
+
+/// Names, on `err`, every run that stopped at max_sim_time before its
+/// cores retired their budgets (`label(i)` is appended for run i); returns
+/// how many did. Such a run describes a cut-off system, so no figure may
+/// be built from it.
+inline std::size_t report_incomplete(
+    std::span<const harness::RunMetrics> runs, std::ostream& err,
+    const std::function<std::string(std::size_t)>& label = {}) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].completed) continue;
+    err << "incomplete run (stopped at max_sim_time): " << runs[i].workload
+        << "/" << runs[i].scheme << (label ? label(i) : "") << "\n";
+    ++n;
+  }
+  return n;
+}
+
+inline std::size_t report_incomplete(const harness::Matrix& m,
+                                     std::ostream& err) {
+  std::size_t n = 0;
+  for (const auto& row : m.cells) n += report_incomplete(row, err);
+  return n;
+}
+
 /// The paper's evaluated schemes with the DCW baseline in column 0.
 inline std::vector<schemes::SchemeKind> paper_columns() {
   return {schemes::SchemeKind::kDcw, schemes::SchemeKind::kFlipNWrite,
@@ -208,24 +303,9 @@ inline std::vector<schemes::SchemeKind> paper_columns() {
 
 /// Run the full-system matrix with per-workload instruction budgets.
 inline harness::Matrix run_paper_matrix(const Options& o) {
-  const auto& workloads = workload::parsec_profiles();
-  const auto kinds = paper_columns();
-  harness::Matrix m;
-  m.workloads = workloads;
-  m.kinds = kinds;
-  m.cells.assign(workloads.size(),
-                 std::vector<harness::RunMetrics>(kinds.size()));
-  const std::size_t total = workloads.size() * kinds.size();
-  tw::parallel_for(
-      total,
-      [&](std::size_t i) {
-        const std::size_t w = i / kinds.size();
-        const std::size_t s = i % kinds.size();
-        m.cells[w][s] = harness::run_system(system_config(workloads[w], o),
-                                            workloads[w], kinds[s]);
-      },
-      o.threads);
-  return m;
+  return harness::run_matrix(
+      [&o](const workload::WorkloadProfile& p) { return system_config(p, o); },
+      workload::parsec_profiles(), paper_columns(), o.threads);
 }
 
 /// Emit the --json baseline for a full-system matrix run, aggregating
@@ -274,20 +354,11 @@ inline void maybe_trace_run(const Options& o) {
   std::cout << ")\n";
 }
 
-/// Dump the raw matrix to the --csv path if given.
-inline void maybe_write_csv(const harness::Matrix& m, const Options& o) {
-  if (o.csv_path.empty()) return;
-  std::ofstream out(o.csv_path);
-  harness::write_csv(m, out);
-  std::cout << "(raw results written to " << o.csv_path << ")\n";
-}
-
-/// Render a grouped bar chart of the normalized values to --svg if given.
-inline void maybe_write_svg(const harness::Matrix& m,
-                            const std::vector<std::vector<double>>& norm,
-                            const char* title, const char* y_label,
-                            const Options& o) {
-  if (o.svg_path.empty()) return;
+/// Render a grouped bar chart of the normalized values to `path`.
+inline void write_svg(const harness::Matrix& m,
+                      const std::vector<std::vector<double>>& norm,
+                      const char* title, const char* y_label,
+                      const std::string& path) {
   BarChart chart(title, y_label);
   std::vector<std::string> names;
   for (const auto kind : m.kinds)
@@ -297,67 +368,98 @@ inline void maybe_write_svg(const harness::Matrix& m,
     chart.add_group(m.workloads[w].name, norm[w]);
   }
   chart.set_reference(1.0);
-  std::ofstream out(o.svg_path);
+  std::ofstream out(path);
   chart.render(out);
-  std::cout << "(figure written to " << o.svg_path << ")\n";
 }
 
-/// Whether a figure's metric improves downward (latency, runtime) or
-/// upward (IPC).
-enum class Better { kLower, kHigher };
+/// Figures 11-14: one metric normalized to DCW, against the paper's
+/// averages for fnw, 2stage, 3stage and tetris.
+struct SystemFigure {
+  const char* title;
+  const char* y_label;  ///< report_all's SVG axis
+  harness::MetricFn metric;
+  std::vector<double> paper;
+  bool higher_better = false;  ///< IPC; latencies and runtime improve down
+};
 
-/// Shared driver for Figures 11-14: run the matrix, print the normalized
-/// table for `metric`, and compare scheme geomeans against the paper's
-/// reported averages (columns fnw, 2stage, 3stage, tetris).
-inline int system_figure(int argc, char** argv, const char* title,
-                         const harness::MetricFn& metric,
-                         const std::vector<double>& paper_averages,
-                         const char* paper_citation,
-                         Better better = Better::kLower) {
-  const bool higher = better == Better::kHigher;
-  const char* unit = higher ? "x" : "";
-  const char* relation = higher ? "improvement over" : "normalized to";
+inline const std::vector<SystemFigure> kSystemFigures = {
+    {"Figure 11: normalized read latency", "normalized to DCW",
+     [](const harness::RunMetrics& r) { return r.read_latency_ns; },
+     {0.61, 0.50, 0.44, 0.35}},
+    {"Figure 12: normalized write latency", "normalized to DCW",
+     [](const harness::RunMetrics& r) { return r.write_latency_ns; },
+     {0.75, 0.67, 0.65, 0.60}},
+    {"Figure 13: IPC improvement", "x over DCW",
+     [](const harness::RunMetrics& r) { return r.ipc; },
+     {1.4, 1.6, 1.8, 2.0},
+     true},
+    {"Figure 14: normalized running time", "normalized to DCW",
+     [](const harness::RunMetrics& r) { return r.runtime_ns; },
+     {0.76, 0.66, 0.61, 0.54}},
+};
+
+/// Prints f's normalized table with the paper's averages as its last row.
+/// True when the measured geomeans rank adjacent schemes as the paper
+/// does wherever the paper ranks them apart.
+inline bool print_figure(const harness::Matrix& m, const SystemFigure& f,
+                         std::ostream& out) {
+  AsciiTable t = harness::normalized_table(m, f.metric, 0);
+  std::vector<std::string> paper_row = {"paper avg", "1.000"};
+  for (const double v : f.paper) paper_row.push_back(fixed(v, 3));
+  t.add_row(std::move(paper_row));
+  t.print(out);
+  const auto geo = harness::normalized_values(m, f.metric, 0).back();
+  const auto improves = [&](double a, double b) {
+    return f.higher_better ? a > b : a < b;
+  };
+  for (std::size_t s = 2; s < m.kinds.size(); ++s) {
+    if (f.paper[s - 1] != f.paper[s - 2] &&
+        improves(geo[s], geo[s - 1]) !=
+            improves(f.paper[s - 1], f.paper[s - 2])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Shared driver for Figures 11-14: run the matrix, print f's table and
+/// the scheme geomeans next to the paper's averages.
+inline int system_figure(int argc, char** argv, const SystemFigure& f,
+                         const char* paper_citation) {
+  const char* unit = f.higher_better ? "x" : "";
+  const char* relation =
+      f.higher_better ? "improvement over" : "normalized to";
   const Options o = Options::parse(argc, argv);
-  std::cout << title << "\n"
-            << std::string(std::strlen(title), '=') << "\n";
+  std::cout << f.title << "\n"
+            << std::string(std::strlen(f.title), '=') << "\n";
   std::cout << "(" << relation << " the DCW baseline; " << paper_citation
             << ")\n\n";
 
   const WallTimer timer;
   const harness::Matrix m = run_paper_matrix(o);
   const double wall_ms = timer.elapsed_ms();
-  AsciiTable t = harness::normalized_table(m, metric, 0);
-  const auto norm = harness::normalized_values(m, metric, 0);
-  std::vector<std::string> paper_row = {"paper avg", "1.000"};
-  for (const double v : paper_averages) paper_row.push_back(fixed(v, 3));
-  t.add_row(std::move(paper_row));
-  t.print(std::cout);
-
+  if (report_incomplete(m, std::cerr) > 0) return 1;
+  const bool shape_ok = print_figure(m, f, std::cout);
+  const auto norm = harness::normalized_values(m, f.metric, 0);
   std::cout << "\nmeasured geomean vs paper average:\n";
-  const auto& geo = norm.back();
-  const auto improves = [higher](double a, double b) {
-    return higher ? a > b : a < b;
-  };
-  bool shape_ok = true;
   for (std::size_t s = 1; s < m.kinds.size(); ++s) {
-    const double paper = paper_averages[s - 1];
     std::cout << "  " << pad(schemes::scheme_name(m.kinds[s]), 8) << " "
-              << fixed(geo[s], 3) << unit << " (paper " << fixed(paper, 3)
-              << unit << ")\n";
-    // Shape check: the ranking between adjacent schemes must match
-    // wherever the paper ranks them apart.
-    if (s > 1 && paper != paper_averages[s - 2] &&
-        improves(geo[s], geo[s - 1]) !=
-            improves(paper, paper_averages[s - 2])) {
-      shape_ok = false;
-    }
+              << fixed(norm.back()[s], 3) << unit << " (paper "
+              << fixed(f.paper[s - 1], 3) << unit << ")\n";
   }
   std::cout << (shape_ok ? "\nshape: OK — scheme ranking matches the paper\n"
                          : "\nshape: MISMATCH in scheme ranking\n");
-  maybe_write_csv(m, o);
-  maybe_write_svg(m, norm, title,
-                  (std::string(relation) + " DCW baseline").c_str(), o);
-  maybe_write_matrix_json(m, o, title, wall_ms);
+  if (!o.csv_path.empty()) {
+    std::ofstream out(o.csv_path);
+    harness::write_csv(m, out);
+    std::cout << "(raw results written to " << o.csv_path << ")\n";
+  }
+  if (!o.svg_path.empty()) {
+    write_svg(m, norm, f.title,
+              (std::string(relation) + " DCW baseline").c_str(), o.svg_path);
+    std::cout << "(figure written to " << o.svg_path << ")\n";
+  }
+  maybe_write_matrix_json(m, o, f.title, wall_ms);
   maybe_trace_run(o);
   return shape_ok ? 0 : 1;
 }

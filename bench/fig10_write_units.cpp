@@ -8,16 +8,12 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "tw/core/factory.hpp"
-#include "tw/stats/accumulator.hpp"
-#include "tw/workload/generator.hpp"
 
 using namespace tw;
 
 int main(int argc, char** argv) {
   const bench::Options o = bench::Options::parse(argc, argv);
   const u64 writes_per_workload = o.quick ? 800 : 5'000;
-  const pcm::PcmConfig cfg = pcm::table2_config();
 
   std::cout << "Figure 10: average number of write units per cache-line "
                "write\n"
@@ -37,29 +33,19 @@ int main(int argc, char** argv) {
   std::vector<stats::Accumulator> per_scheme(kinds.size());
   double tetris_min = 1e9, tetris_max = 0;
   for (const auto& p : workload::parsec_profiles()) {
-    // One generator run produces the write stream; each scheme replays it
-    // against its own copy of memory so the data is identical.
+    // Each scheme replays the same write stream against its own copy of
+    // memory, so the data is identical.
     std::vector<std::string> row = {p.name};
     for (std::size_t s = 0; s < kinds.size(); ++s) {
-      mem::DataStore store(cfg.geometry.units_per_line(), o.seed,
-                           p.initial_ones_fraction);
-      workload::TraceGenerator gen(p, cfg.geometry, 1, o.seed + 1);
-      const auto scheme = core::make_scheme(kinds[s], cfg);
-      stats::Accumulator units;
-      u64 writes = 0;
-      while (writes < writes_per_workload) {
-        const workload::TraceOp op = gen.next(0);
-        if (!op.is_write) continue;
-        const pcm::LogicalLine next =
-            gen.make_write_data(op.addr, store, 0);
-        units.add(scheme->plan_write(store.line(op.addr), next).write_units);
-        ++writes;
-      }
-      per_scheme[s].add(units.mean());
-      row.push_back(fixed(units.mean(), 2));
+      const double units =
+          bench::plan_stream(bench::system_config(p, o), p, kinds[s],
+                             writes_per_workload)
+              .write_units;
+      per_scheme[s].add(units);
+      row.push_back(fixed(units, 2));
       if (kinds[s] == schemes::SchemeKind::kTetris) {
-        tetris_min = std::min(tetris_min, units.mean());
-        tetris_max = std::max(tetris_max, units.mean());
+        tetris_min = std::min(tetris_min, units);
+        tetris_max = std::max(tetris_max, units);
       }
     }
     t.add_row(std::move(row));

@@ -7,9 +7,6 @@
 
 int main(int argc, char** argv) {
   return tw::bench::system_figure(
-      argc, argv, "Figure 11: normalized read latency",
-      [](const tw::harness::RunMetrics& m) { return m.read_latency_ns; },
-      /*paper averages (fnw, 2stage, 3stage, tetris):*/
-      {0.61, 0.50, 0.44, 0.35},
+      argc, argv, tw::bench::kSystemFigures[0],
       "paper: fnw 0.61, 2stage 0.50, 3stage 0.44, tetris 0.35");
 }

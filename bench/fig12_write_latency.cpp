@@ -8,8 +8,6 @@
 
 int main(int argc, char** argv) {
   return tw::bench::system_figure(
-      argc, argv, "Figure 12: normalized write latency",
-      [](const tw::harness::RunMetrics& m) { return m.write_latency_ns; },
-      {0.75, 0.67, 0.65, 0.60},
+      argc, argv, tw::bench::kSystemFigures[1],
       "paper: fnw 0.75, 2stage 0.67, 3stage 0.65, tetris 0.60");
 }

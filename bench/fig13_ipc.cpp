@@ -6,9 +6,6 @@
 
 int main(int argc, char** argv) {
   return tw::bench::system_figure(
-      argc, argv, "Figure 13: IPC improvement",
-      [](const tw::harness::RunMetrics& m) { return m.ipc; },
-      {1.4, 1.6, 1.8, 2.0},
-      "paper: fnw 1.4x, 2stage 1.6x, 3stage 1.8x, tetris 2.0x",
-      tw::bench::Better::kHigher);
+      argc, argv, tw::bench::kSystemFigures[2],
+      "paper: fnw 1.4x, 2stage 1.6x, 3stage 1.8x, tetris 2.0x");
 }

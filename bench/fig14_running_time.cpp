@@ -8,8 +8,6 @@
 
 int main(int argc, char** argv) {
   return tw::bench::system_figure(
-      argc, argv, "Figure 14: normalized running time",
-      [](const tw::harness::RunMetrics& m) { return m.runtime_ns; },
-      {0.76, 0.66, 0.61, 0.54},
+      argc, argv, tw::bench::kSystemFigures[3],
       "paper: fnw 0.76, 2stage 0.66, 3stage 0.61, tetris 0.54");
 }

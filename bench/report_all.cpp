@@ -13,18 +13,6 @@
 
 using namespace tw;
 
-namespace {
-
-struct Figure {
-  const char* title;
-  const char* y_label;
-  harness::MetricFn metric;
-  bool higher_better;
-  std::vector<double> paper;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const bench::Options o = bench::Options::parse(argc, argv);
 
@@ -33,61 +21,21 @@ int main(int argc, char** argv) {
             << "config: " << pcm::table2_config().describe() << "\n\n";
 
   const harness::Matrix m = bench::run_paper_matrix(o);
-
-  const Figure figures[] = {
-      {"Figure 11: normalized read latency", "normalized to DCW",
-       [](const harness::RunMetrics& r) { return r.read_latency_ns; },
-       false,
-       {0.61, 0.50, 0.44, 0.35}},
-      {"Figure 12: normalized write latency", "normalized to DCW",
-       [](const harness::RunMetrics& r) { return r.write_latency_ns; },
-       false,
-       {0.75, 0.67, 0.65, 0.60}},
-      {"Figure 13: IPC improvement", "x over DCW",
-       [](const harness::RunMetrics& r) { return r.ipc; }, true,
-       {1.4, 1.6, 1.8, 2.0}},
-      {"Figure 14: normalized running time", "normalized to DCW",
-       [](const harness::RunMetrics& r) { return r.runtime_ns; }, false,
-       {0.76, 0.66, 0.61, 0.54}},
-  };
+  if (bench::report_incomplete(m, std::cerr) > 0) return 1;
 
   bool all_ok = true;
-  int fig_no = 11;
-  for (const Figure& f : figures) {
+  for (std::size_t i = 0; i < bench::kSystemFigures.size(); ++i) {
+    const bench::SystemFigure& f = bench::kSystemFigures[i];
     std::cout << f.title << "\n";
-    AsciiTable t = harness::normalized_table(m, f.metric, 0);
-    std::vector<std::string> paper_row = {"paper avg", "1.000"};
-    for (const double v : f.paper) paper_row.push_back(fixed(v, 3));
-    t.add_row(std::move(paper_row));
-    t.print(std::cout);
-
-    const auto norm = harness::normalized_values(m, f.metric, 0);
-    const auto& geo = norm.back();
-    for (std::size_t s = 2; s < m.kinds.size(); ++s) {
-      const bool measured_better =
-          f.higher_better ? geo[s] > geo[s - 1] : geo[s] < geo[s - 1];
-      const bool paper_better = f.higher_better
-                                    ? f.paper[s - 1] > f.paper[s - 2]
-                                    : f.paper[s - 1] < f.paper[s - 2];
-      if (measured_better != paper_better) all_ok = false;
-    }
+    all_ok = bench::print_figure(m, f, std::cout) && all_ok;
     if (!o.svg_path.empty()) {
-      BarChart chart(f.title, f.y_label);
-      std::vector<std::string> names;
-      for (const auto kind : m.kinds)
-        names.emplace_back(schemes::scheme_name(kind));
-      chart.set_series(std::move(names));
-      for (std::size_t w = 0; w < m.workloads.size(); ++w)
-        chart.add_group(m.workloads[w].name, norm[w]);
-      chart.set_reference(1.0);
       const std::string path =
-          o.svg_path + "_fig" + std::to_string(fig_no) + ".svg";
-      std::ofstream out(path);
-      chart.render(out);
+          o.svg_path + "_fig" + std::to_string(11 + i) + ".svg";
+      bench::write_svg(m, harness::normalized_values(m, f.metric, 0),
+                       f.title, f.y_label, path);
       std::cout << "(wrote " << path << ")\n";
     }
     std::cout << "\n";
-    ++fig_no;
   }
 
   if (!o.csv_path.empty()) {

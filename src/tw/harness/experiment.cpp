@@ -471,17 +471,22 @@ RunMetrics run_system(const SystemConfig& cfg,
   // reduces to the plain single-controller reads).
   u64 wear_bits = 0;
   u64 wear_writes = 0;
+  u64 set_bits = 0;
   m.write_energy_pj = 0.0;
   m.read_energy_pj = 0.0;
   for (u32 c = 0; c < channels; ++c) {
     m.write_energy_pj += msys.channel(c).energy().write_energy_pj();
     m.read_energy_pj += msys.channel(c).energy().read_energy_pj();
+    set_bits += msys.channel(c).energy().set_bits();
     const pcm::WearSummary wear = msys.channel(c).wear().summary();
     wear_bits += wear.total_bits;
     wear_writes += wear.total_writes;
   }
   m.bits_per_write = wear_writes == 0 ? 0.0
                                       : static_cast<double>(wear_bits) /
+                                            static_cast<double>(wear_writes);
+  m.sets_per_write = wear_writes == 0 ? 0.0
+                                      : static_cast<double>(set_bits) /
                                             static_cast<double>(wear_writes);
   m.write_pauses = reg.counter("mem.write_pauses").value();
   m.gap_moves = reg.counter("mem.gap_moves").value();

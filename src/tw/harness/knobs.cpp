@@ -110,6 +110,28 @@ Knob real_row(std::string_view key, F field, std::string_view help) {
           }};
 }
 
+/// Byte-count field set in MB. A fraction is accepted when it names a
+/// whole number of bytes (0.25 = 256 KB).
+template <class F>
+Knob mb_row(std::string_view key, F field, std::string_view help) {
+  constexpr double kMb = 1 << 20;
+  return {.key = key,
+          .type = "MB",
+          .help = help,
+          .set = [field](SystemConfig& c, std::string_view v) {
+            const double bytes = parse_real(v) * kMb;
+            if (bytes < 0.0 || bytes != std::floor(bytes) ||
+                bytes >= 0x1p64) {
+              reject("expected a size in MB that is a whole number of bytes",
+                     v);
+            }
+            field(c) = static_cast<u64>(bytes);
+          },
+          .get = [field](const SystemConfig& c) {
+            return format_real(static_cast<double>(field(c)) / kMb);
+          }};
+}
+
 /// Named values; the first name of a value is the one written out.
 template <class F, class E = FieldType<F>>
 Knob enum_row(std::string_view key, F field, Names<E> names,
@@ -157,6 +179,7 @@ std::vector<Knob> build_table() {
   using encode::EncoderKind;
   using fault::FaultProfile;
   using mem::DramPolicy;
+  using core::PackOrder;
   using pcm::ChannelInterleave;
   return {
       ns_row("pcm.t_read_ns", TW_FIELD(pcm.timing.t_read),
@@ -226,8 +249,8 @@ std::vector<Knob> build_table() {
                "reads per bank while its pump is loaded").alias("palp-rww"),
       bool_row("dram.enabled", TW_FIELD(dram.enabled),
                "DRAM front tier before PCM").alias("dram", "true"),
-      uint_row("dram.capacity_mb", TW_FIELD(dram.capacity_bytes),
-               "tier capacity in MB, across all channels", "MB", 1 << 20)
+      mb_row("dram.capacity_mb", TW_FIELD(dram.capacity_bytes),
+             "tier capacity in MB (fractions allowed), across all channels")
           .alias("dram-mb", {}, "dram"),
       uint_row("dram.ways", TW_FIELD(dram.ways), "set associativity"),
       enum_row("dram.policy", TW_FIELD(dram.policy),
@@ -266,6 +289,12 @@ std::vector<Knob> build_table() {
       bool_row("tetris.forbid_self_overlap",
                TW_FIELD(tetris.forbid_self_overlap),
                "keep a unit's write-0 and write-1 in separate windows"),
+      enum_row("tetris.pack_order", TW_FIELD(tetris.pack_order),
+               Names<PackOrder>{{"ffd", PackOrder::kFirstFitDecreasing},
+                                {"ffa", PackOrder::kFirstFitArrival},
+                                {"bfd", PackOrder::kBestFitDecreasing}},
+               "packing heuristic: first-fit decreasing (the paper), "
+               "first-fit arrival order, best-fit decreasing"),
       preset_row("fault.profile",
                  Names<FaultProfile>{{"none", FaultProfile::kNone},
                                      {"light", FaultProfile::kLight},
@@ -349,6 +378,9 @@ bool knob_dumped(const Knob& k, const SystemConfig& cfg) {
   // feature-off dumps keep the text they had before the feature existed.
   const std::string_view section = k.key.substr(0, k.key.find('.'));
   if (!k.get) return false;  // presets
+  if (k.key == "tetris.pack_order") {
+    return cfg.tetris.pack_order != core::PackOrder::kFirstFitDecreasing;
+  }
   if (section == "palp") return cfg.controller.palp.enabled;
   if (section == "dram") return cfg.dram.enabled;
   if (section == "encode") return cfg.encode.enabled();

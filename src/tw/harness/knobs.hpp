@@ -46,8 +46,9 @@ const std::vector<Knob>& knob_table();
 /// The row for `key`, or nullptr.
 const Knob* find_knob(std::string_view key);
 
-/// Whether write_system_config prints `k` for `cfg`: not for presets, and
-/// the palp/dram/encode/fault sections only while that feature is on.
+/// Whether write_system_config prints `k` for `cfg`: not for presets, the
+/// palp/dram/encode/fault sections only while that feature is on, and
+/// tetris.pack_order only off the paper's first-fit decreasing.
 bool knob_dumped(const Knob& k, const SystemConfig& cfg);
 
 /// One `key = value` assignment and where it came from ("config line 3

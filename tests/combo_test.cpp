@@ -48,11 +48,7 @@ TEST(Combo, AllFeaturesDeterministic) {
       harness::run_system(everything_on(), p, schemes::SchemeKind::kTetris);
   const auto b =
       harness::run_system(everything_on(), p, schemes::SchemeKind::kTetris);
-  EXPECT_DOUBLE_EQ(a.runtime_ns, b.runtime_ns);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.gap_moves, b.gap_moves);
-  EXPECT_EQ(a.write_pauses, b.write_pauses);
-  EXPECT_EQ(a.writes_batched, b.writes_batched);
+  EXPECT_EQ(harness::differing_metrics(a, b), "");
 }
 
 TEST(Combo, AllFeaturesWorkWithEveryScheme) {

@@ -334,10 +334,7 @@ TEST(DramSystem, DisabledTierLeavesConfigHashAndMetricsUntouched) {
   const auto b =
       harness::run_system(tweaked, prof, schemes::SchemeKind::kTetris);
   ASSERT_TRUE(a.completed);
-  EXPECT_EQ(a.runtime_ns, b.runtime_ns);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(harness::differing_metrics(a, b), "");
   EXPECT_EQ(a.dram_hits, 0u);
   EXPECT_EQ(a.dram_writebacks, 0u);
 }
@@ -372,24 +369,6 @@ TEST(DramSystem, TierAbsorbsPcmWriteTraffic) {
   EXPECT_LE(m_on.writes, m_on.dram_writebacks);
 }
 
-void expect_identical(const harness::RunMetrics& a,
-                      const harness::RunMetrics& b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.runtime_ns, b.runtime_ns);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.read_latency_ns, b.read_latency_ns);
-  EXPECT_EQ(a.write_latency_ns, b.write_latency_ns);
-  EXPECT_EQ(a.read_p99_ns, b.read_p99_ns);
-  EXPECT_EQ(a.write_p99_ns, b.write_p99_ns);
-  EXPECT_EQ(a.dram_hits, b.dram_hits);
-  EXPECT_EQ(a.dram_misses, b.dram_misses);
-  EXPECT_EQ(a.dram_writebacks, b.dram_writebacks);
-  EXPECT_EQ(a.dram_clean_evicts, b.dram_clean_evicts);
-}
-
 TEST(DramSystem, LockstepDeterministicAcrossThreadsAndChannels) {
   // The tier lives entirely on the front domain, so enabling it must not
   // cost lockstep determinism: bit-identical metrics at every
@@ -412,7 +391,7 @@ TEST(DramSystem, LockstepDeterministicAcrossThreadsAndChannels) {
       }
       EXPECT_TRUE(runs[0].completed);
       EXPECT_GT(runs[0].dram_hits, 0u);
-      expect_identical(runs[0], runs[1]);
+      EXPECT_EQ(harness::differing_metrics(runs[0], runs[1]), "");
     }
   }
 }

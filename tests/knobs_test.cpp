@@ -74,6 +74,8 @@ TEST(ConfigValidation, SignsAndTrailingJunkRejected) {
                         {"pcm.banks"});
   }
   expect_config_error("core.peak_ipc = nan\n", {"core.peak_ipc"});
+  expect_config_error("dram.capacity_mb = 0.0000001\n",
+                      {"dram.capacity_mb", "whole number of bytes"});
 }
 
 TEST(ConfigValidation, BlamesTheSettingThatBrokeTheConfig) {
@@ -206,9 +208,11 @@ TEST(KnobTable, DoublesRoundTripExactly) {
   SystemConfig cfg = all_groups_on();
   cfg.core.peak_ipc = 1.0 / 3.0;
   cfg.fault.set_fail_prob = 1.234567891e-5;
+  cfg.dram.capacity_bytes = u64{256} << 10;  // dram.capacity_mb = 0.25
   const SystemConfig back = parse(dump(cfg));
   EXPECT_EQ(back.core.peak_ipc, cfg.core.peak_ipc);
   EXPECT_EQ(back.fault.set_fail_prob, cfg.fault.set_fail_prob);
+  EXPECT_EQ(back.dram.capacity_bytes, cfg.dram.capacity_bytes);
 }
 
 // Fields of a group that is off: a dump omits the group, so the hash must
@@ -376,6 +380,12 @@ TEST_F(BenchCli, InconsistentKnobExits2NamingTheFlag) {
               "--dram-mb=0: .*too small");
   EXPECT_EXIT(parse_cli({"--palp=on"}), ::testing::ExitedWithCode(2),
               "--palp=on: takes no value");
+}
+
+TEST_F(BenchCli, OpsWinsOverQuickInEitherOrder) {
+  EXPECT_EQ(parse_cli({"--quick"}).target_ops_per_core, 400u);
+  EXPECT_EQ(parse_cli({"--ops=1000", "--quick"}).target_ops_per_core, 1000u);
+  EXPECT_EQ(parse_cli({"--quick", "--ops=1000"}).target_ops_per_core, 1000u);
 }
 
 TEST_F(BenchCli, DeclaredExtraFlagsOnly) {

@@ -445,12 +445,7 @@ TEST(PalpSystem, PalpOffMetricsUntouched) {
   EXPECT_EQ(a.palp_overlapped_reads, 0u);
   EXPECT_EQ(a.palp_pump_stalls, 0u);
   EXPECT_EQ(a.palp_write_overlaps, 0u);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.runtime_ns, b.runtime_ns);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.read_latency_ns, b.read_latency_ns);
-  EXPECT_EQ(a.write_latency_ns, b.write_latency_ns);
-  EXPECT_EQ(a.write_energy_pj, b.write_energy_pj);
+  EXPECT_EQ(harness::differing_metrics(a, b), "");
 }
 
 TEST(PalpSystem, OverlapImprovesReadLatencyOnReadHeavyMix) {
