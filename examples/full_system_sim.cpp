@@ -1,7 +1,8 @@
 // full_system_sim: the complete pipeline — 4 out-of-order-style cores,
-// optional 3-level cache hierarchy, FRFCFS memory controller, PCM banks —
-// with a detailed end-of-run report (latencies, IPC, bank utilization,
-// energy, wear, queue behaviour).
+// optional 3-level cache hierarchy, the memory system run_system builds
+// (FRFCFS controllers on every channel, optional DRAM tier, fault model
+// and content encoder), PCM banks — with a detailed end-of-run report
+// (latencies, IPC, bank utilization, energy, wear, queue behaviour).
 //
 //   $ ./full_system_sim [--workload=NAME] [--scheme=NAME] [--cache]
 //                       [--config=FILE] [--dump-config] [--<key>=<value>]
@@ -14,6 +15,7 @@
 // (--instr=N, --cores=N, --seed=N); --dump-config prints the effective
 // configuration in config-file format and exits; --help lists the knobs.
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -24,6 +26,7 @@
 #include "tw/core/factory.hpp"
 #include "tw/cpu/multicore.hpp"
 #include "tw/harness/config_file.hpp"
+#include "tw/harness/experiment.hpp"
 #include "tw/harness/knobs.hpp"
 #include "tw/workload/cache_filtered.hpp"
 
@@ -70,6 +73,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const auto kinds = core::all_scheme_kinds();
+  const auto kind = std::find_if(kinds.begin(), kinds.end(), [&](auto k) {
+    return schemes::scheme_name(k) == scheme_name;
+  });
+  if (kind == kinds.end()) {
+    std::cerr << "error: --scheme=" << scheme_name << ": unknown scheme\n";
+    return 2;
+  }
+
   const pcm::PcmConfig pcfg = sys.pcm;
   const u64 instr = sys.instructions_per_core;
   const u32 cores = sys.cores;
@@ -78,9 +90,8 @@ int main(int argc, char** argv) {
 
   sim::Simulator sim;
   stats::Registry reg;
-  const auto scheme = core::make_scheme(scheme_name, pcfg, sys.tetris);
-  mem::Controller ctl(sim, pcfg, sys.controller, *scheme, reg, seed,
-                      profile.initial_ones_fraction);
+  const auto msys = harness::make_memory_system(sim, sys, *kind, reg,
+                                                profile.initial_ones_fraction);
 
   std::unique_ptr<workload::RequestSource> source;
   workload::CacheFilteredSource* cached_source = nullptr;
@@ -100,62 +111,61 @@ int main(int argc, char** argv) {
         profile, pcfg.geometry, cores, seed);
   }
 
-  cpu::MultiCore cpus(sim, sys.core, cores, ctl, *source, instr);
+  cpu::MultiCore cpus(sim, sys.core, cores, *msys, *source, instr);
   cpus.start();
-  sim.run(ms(30'000));
+  msys->run(ms(30'000));
+  harness::RunMetrics m;
+  harness::harvest(*msys, cpus, reg, m);
 
   std::cout << "full_system_sim: " << workload_name << " under "
-            << scheme->name() << (use_cache ? " (cache-filtered)" : "")
-            << "\n" << pcfg.describe() << "\n\n";
+            << m.scheme << (use_cache ? " (cache-filtered)" : "") << "\n"
+            << pcfg.describe() << "\n\n";
 
-  if (!cpus.all_finished()) {
+  if (!m.completed) {
     std::cout << "WARNING: simulation hit the time cap before all cores "
                  "retired their budget\n\n";
   }
 
+  u64 lines_written = 0;
+  for (u32 c = 0; c < msys->channels(); ++c) {
+    lines_written += msys->channel(c).wear().summary().lines_touched;
+  }
   AsciiTable t;
   t.set_header({"metric", "value"});
-  t.add_row({"instructions retired", std::to_string(cpus.total_retired())});
-  t.add_row({"runtime", fixed(to_us(cpus.runtime()), 1) + " us"});
-  t.add_row({"aggregate IPC", fixed(cpus.aggregate_ipc(), 3)});
-  t.add_row({"memory reads", std::to_string(reg.counter("mem.reads").value())});
-  t.add_row({"memory writes",
-             std::to_string(reg.counter("mem.writes").value())});
-  t.add_row({"avg read latency",
-             fixed(reg.accumulator("mem.read_latency_ns").mean(), 0) + " ns"});
-  t.add_row({"avg write latency",
-             fixed(reg.accumulator("mem.write_latency_ns").mean(), 0) + " ns"});
-  t.add_row({"p99 read latency",
-             fixed(reg.histogram("mem.read_latency_hist_ns").percentile(0.99),
-                   0) + " ns"});
-  t.add_row({"avg write units/line",
-             fixed(reg.accumulator("mem.write_units").mean(), 2)});
-  t.add_row({"reads forwarded",
-             std::to_string(reg.counter("mem.reads_forwarded").value())});
-  t.add_row({"writes coalesced",
-             std::to_string(reg.counter("mem.writes_coalesced").value())});
+  t.add_row({"instructions retired", std::to_string(m.retired)});
+  t.add_row({"runtime", fixed(m.runtime_ns / 1e3, 1) + " us"});
+  t.add_row({"aggregate IPC", fixed(m.ipc, 3)});
+  t.add_row({"memory reads", std::to_string(m.reads)});
+  t.add_row({"memory writes", std::to_string(m.writes)});
+  t.add_row({"avg read latency", fixed(m.read_latency_ns, 0) + " ns"});
+  t.add_row({"avg write latency", fixed(m.write_latency_ns, 0) + " ns"});
+  t.add_row({"p99 read latency", fixed(m.read_p99_ns, 0) + " ns"});
+  t.add_row({"avg write units/line", fixed(m.write_units, 2)});
+  t.add_row({"reads forwarded", std::to_string(m.reads_forwarded)});
+  t.add_row({"writes coalesced", std::to_string(m.writes_coalesced)});
   t.add_row({"silent writes",
              std::to_string(reg.counter("mem.writes_silent").value())});
   t.add_row({"units flipped",
              std::to_string(reg.counter("mem.units_flipped").value())});
-  t.add_row({"write energy",
-             fixed(ctl.energy().write_energy_pj() / 1e6, 3) + " uJ"});
-  t.add_row({"read energy",
-             fixed(ctl.energy().read_energy_pj() / 1e6, 3) + " uJ"});
-  const pcm::WearSummary wear = ctl.wear().summary();
-  t.add_row({"lines written", std::to_string(wear.lines_touched)});
-  t.add_row({"bits programmed/write", fixed(wear.avg_bits_per_write, 1)});
+  t.add_row({"write energy", fixed(m.write_energy_pj / 1e6, 3) + " uJ"});
+  t.add_row({"read energy", fixed(m.read_energy_pj / 1e6, 3) + " uJ"});
+  t.add_row({"lines written", std::to_string(lines_written)});
+  t.add_row({"bits programmed/write", fixed(m.bits_per_write, 1)});
   t.print(std::cout);
 
   std::cout << "\nper-bank utilization:\n";
   const Tick rt = std::max<Tick>(cpus.runtime(), 1);
-  for (std::size_t b = 0; b < ctl.banks().size(); ++b) {
-    const double util =
-        static_cast<double>(ctl.banks()[b].busy_total()) /
-        static_cast<double>(rt);
-    std::cout << "  bank " << b << " [" << ascii_bar(util, 30) << "] "
-              << pct(util) << " (" << ctl.banks()[b].commands()
-              << " cmds)\n";
+  for (u32 c = 0; c < msys->channels(); ++c) {
+    const auto& banks = msys->channel(c).banks();
+    const std::string chan =
+        msys->channels() == 1 ? "" : "ch" + std::to_string(c) + " ";
+    for (std::size_t b = 0; b < banks.size(); ++b) {
+      const double util = static_cast<double>(banks[b].busy_total()) /
+                          static_cast<double>(rt);
+      std::cout << "  " << chan << "bank " << b << " ["
+                << ascii_bar(util, 30) << "] " << pct(util) << " ("
+                << banks[b].commands() << " cmds)\n";
+    }
   }
 
   if (cached_source != nullptr) {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <optional>
+#include <vector>
 
+#include "tw/common/assert.hpp"
 #include "tw/common/version.hpp"
 #include "tw/encode/encoded_scheme.hpp"
 #include "tw/fault/fault_model.hpp"
@@ -31,89 +34,66 @@ u64 mix_double(u64 h, double v) {
   return mix(h, bits);
 }
 
-/// Register the standard gauge set on the snapshotter: queue depths, bank
-/// occupancy/utilization, per-epoch traffic, and Tetris budget
-/// utilization. Epoch-delta gauges carry their own previous-sample state.
-void add_standard_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
-                         mem::Controller& controller, stats::Registry& reg) {
-  snap.add_gauge("read_q_depth",
-                 [&] { return static_cast<double>(controller.read_queue_depth()); });
-  snap.add_gauge("write_q_depth",
-                 [&] { return static_cast<double>(controller.write_queue_depth()); });
-  snap.add_gauge("banks_busy", [&] {
-    u32 busy = 0;
-    for (const auto& b : controller.banks()) {
-      if (!b.idle_at(sim.now())) ++busy;
+/// Per-epoch delta of one stat's running total (a counter's value, an
+/// accumulator's sum), summed over every registry in `regs` that holds
+/// it. The stats are looked up once, here; a name no registry holds is a
+/// misnamed row and fails rather than charting zeros.
+std::function<double()> epoch_delta(
+    const std::vector<const stats::Registry*>& regs, MetricSource source,
+    const std::string& stat) {
+  std::vector<const stats::Counter*> counters;
+  std::vector<const stats::Accumulator*> accs;
+  for (const stats::Registry* r : regs) {
+    if (source == MetricSource::kCounter) {
+      if (const stats::Counter* c = r->find_counter(stat)) {
+        counters.push_back(c);
+      }
+    } else if (const stats::Accumulator* a = r->find_accumulator(stat)) {
+      accs.push_back(a);
     }
-    return static_cast<double>(busy);
-  });
-  // Fraction of the epoch the banks spent busy, averaged over banks.
-  snap.add_gauge("bank_util", [&, prev = u64{0}, prev_now = Tick{0}]() mutable {
-    u64 total = 0;
-    for (const auto& b : controller.banks()) total += b.busy_total();
-    const Tick now = sim.now();
-    const u64 dt = (now - prev_now) * controller.banks().size();
-    const double util =
-        dt == 0 ? 0.0 : static_cast<double>(total - prev) / static_cast<double>(dt);
-    prev = total;
-    prev_now = now;
-    return util;
-  });
-  snap.add_gauge("reads_epoch",
-                 [&, prev = 0.0]() mutable {
-                   const double t =
-                       static_cast<double>(reg.counter("mem.reads").value());
-                   const double d = t - prev;
-                   prev = t;
-                   return d;
-                 });
-  snap.add_gauge("writes_epoch",
-                 [&, prev = 0.0]() mutable {
-                   const double t =
-                       static_cast<double>(reg.counter("mem.writes").value());
-                   const double d = t - prev;
-                   prev = t;
-                   return d;
-                 });
-  snap.add_gauge("write_units_epoch",
-                 [&, prev = 0.0]() mutable {
-                   const double t = reg.accumulator("mem.write_units").sum();
-                   const double d = t - prev;
-                   prev = t;
-                   return d;
-                 });
-  // Mean packed power-budget utilization of the writes in this epoch
-  // (0 when the scheme has no packed schedule, or nothing was written).
-  snap.add_gauge("budget_util",
-                 [&, prev_sum = 0.0, prev_n = 0.0]() mutable {
-                   const auto& acc = reg.accumulator("mem.power_utilization");
-                   const double dn = static_cast<double>(acc.count()) - prev_n;
-                   const double ds = acc.sum() - prev_sum;
-                   prev_n = static_cast<double>(acc.count());
-                   prev_sum = acc.sum();
-                   return dn <= 0.0 ? 0.0 : ds / dn;
-                 });
-  // Mean occupancy of the multi-line joint schedules issued this epoch
-  // (0 when batching is off or the scheme serializes its batches).
-  snap.add_gauge("batch_occupancy",
-                 [&, prev_sum = 0.0, prev_n = 0.0]() mutable {
-                   const auto& acc = reg.accumulator("mem.batch_occupancy");
-                   const double dn = static_cast<double>(acc.count()) - prev_n;
-                   const double ds = acc.sum() - prev_sum;
-                   prev_n = static_cast<double>(acc.count());
-                   prev_sum = acc.sum();
-                   return dn <= 0.0 ? 0.0 : ds / dn;
-                 });
+  }
+  TW_ASSERT(!counters.empty() || !accs.empty());
+  return [counters = std::move(counters), accs = std::move(accs),
+          prev = 0.0]() mutable {
+    double t = 0.0;
+    for (const stats::Counter* c : counters) {
+      t += static_cast<double>(c->value());
+    }
+    for (const stats::Accumulator* a : accs) t += a->sum();
+    const double d = t - prev;
+    prev = t;
+    return d;
+  };
 }
 
-/// Gauges for a multi-channel system: aggregate queue depths and traffic
-/// across channels, plus per-channel write activity so a trace shows
-/// which channels carry the load. Reads cross-registry state only during
-/// the serial front phase (sampling happens on the front domain), so no
-/// synchronization is needed.
-void add_channel_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
-                        mem::MemorySystem& msys) {
+/// Mean of an accumulator's samples added since the previous call (0 when
+/// none were).
+std::function<double()> epoch_mean(const stats::Accumulator& acc) {
+  return [&acc, prev_sum = 0.0, prev_n = 0.0]() mutable {
+    const double dn = static_cast<double>(acc.count()) - prev_n;
+    const double ds = acc.sum() - prev_sum;
+    prev_n = static_cast<double>(acc.count());
+    prev_sum = acc.sum();
+    return dn <= 0.0 ? 0.0 : ds / dn;
+  };
+}
+
+/// Register the gauge set on the snapshotter: queue depths and busy banks
+/// summed over channels, per-epoch traffic, then bank and Tetris budget
+/// utilization for one channel or per-channel write activity for several,
+/// and last the `<field>_epoch` gauge of every TW_RUN_METRICS row whose
+/// group is active. Sampling runs in the serial front phase, so reading
+/// channel state needs no synchronization.
+void add_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
+                mem::MemorySystem& msys, stats::Registry& reg,
+                const SystemConfig& cfg) {
   const u32 channels = msys.channels();
+  // A stat lives in the main registry (the DRAM tiers, and everything at
+  // one channel) or in its channel's own.
+  std::vector<const stats::Registry*> regs = {&reg};
+  for (u32 c = 0; c < channels; ++c) {
+    if (const stats::Registry* r = msys.channel_registry(c)) regs.push_back(r);
+  }
   snap.add_gauge("read_q_depth", [&msys, channels] {
     u64 d = 0;
     for (u32 c = 0; c < channels; ++c) d += msys.channel(c).read_queue_depth();
@@ -133,110 +113,73 @@ void add_channel_gauges(trace::MetricsSnapshotter& snap, sim::Simulator& sim,
     }
     return static_cast<double>(busy);
   });
-  snap.add_gauge("reads_epoch", [&msys, channels, prev = 0.0]() mutable {
-    double t = 0.0;
-    for (u32 c = 0; c < channels; ++c) {
-      t += static_cast<double>(
-          msys.channel_registry(c)->counter("mem.reads").value());
-    }
-    const double d = t - prev;
-    prev = t;
-    return d;
-  });
-  snap.add_gauge("writes_epoch", [&msys, channels, prev = 0.0]() mutable {
-    double t = 0.0;
-    for (u32 c = 0; c < channels; ++c) {
-      t += static_cast<double>(
-          msys.channel_registry(c)->counter("mem.writes").value());
-    }
-    const double d = t - prev;
-    prev = t;
-    return d;
-  });
-  for (u32 c = 0; c < channels; ++c) {
-    snap.add_gauge("ch" + std::to_string(c) + "_writes_epoch",
-                   [&msys, c, prev = 0.0]() mutable {
-                     const double t = static_cast<double>(
-                         msys.channel_registry(c)->counter("mem.writes").value());
-                     const double d = t - prev;
-                     prev = t;
-                     return d;
+  if (channels == 1) {
+    // Fraction of the epoch the banks spent busy, averaged over banks.
+    const mem::Controller* ctl = &msys.channel(0);
+    snap.add_gauge("bank_util",
+                   [ctl, &sim, prev = u64{0}, prev_now = Tick{0}]() mutable {
+                     u64 total = 0;
+                     for (const auto& b : ctl->banks()) total += b.busy_total();
+                     const Tick now = sim.now();
+                     const u64 dt = (now - prev_now) * ctl->banks().size();
+                     const double util =
+                         dt == 0 ? 0.0
+                                 : static_cast<double>(total - prev) /
+                                       static_cast<double>(dt);
+                     prev = total;
+                     prev_now = now;
+                     return util;
                    });
-    snap.add_gauge("ch" + std::to_string(c) + "_write_q_depth", [&msys, c] {
-      return static_cast<double>(msys.channel(c).write_queue_depth());
-    });
   }
+  snap.add_gauge("reads_epoch",
+                 epoch_delta(regs, MetricSource::kCounter, "mem.reads"));
+  snap.add_gauge("writes_epoch",
+                 epoch_delta(regs, MetricSource::kCounter, "mem.writes"));
+  snap.add_gauge("write_units_epoch",
+                 epoch_delta(regs, MetricSource::kMean, "mem.write_units"));
+  if (channels == 1) {
+    // Mean packed power-budget utilization of the writes in this epoch
+    // (0 when the scheme has no packed schedule, or nothing was written).
+    snap.add_gauge("budget_util",
+                   epoch_mean(reg.accumulator("mem.power_utilization")));
+    // Mean occupancy of the multi-line joint schedules issued this epoch
+    // (0 when batching is off or the scheme serializes its batches).
+    snap.add_gauge("batch_occupancy",
+                   epoch_mean(reg.accumulator("mem.batch_occupancy")));
+  } else {
+    for (u32 c = 0; c < channels; ++c) {
+      snap.add_gauge("ch" + std::to_string(c) + "_writes_epoch",
+                     epoch_delta({msys.channel_registry(c)},
+                                 MetricSource::kCounter, "mem.writes"));
+      snap.add_gauge("ch" + std::to_string(c) + "_write_q_depth", [&msys, c] {
+        return static_cast<double>(msys.channel(c).write_queue_depth());
+      });
+    }
+  }
+  // Indexed by GaugeGroup. A group's gauges register only while it is
+  // active, so runs without it keep their exact column set.
+  const bool active[] = {false, cfg.fault.enabled(),
+                         msys.channel(0).palp_active(), msys.dram_active(),
+                         cfg.encode.enabled()};
+#define TW_GAUGE(field, type, init, source, stat, decimals, csv, gauge) \
+  if (active[static_cast<int>(GaugeGroup::gauge)]) {                    \
+    snap.add_gauge(#field "_epoch",                                     \
+                   epoch_delta(regs, MetricSource::source, stat));      \
+  }
+  TW_RUN_METRICS(TW_GAUGE)
+#undef TW_GAUGE
 }
 
-/// Per-epoch fault gauges; only registered when a fault model is active so
-/// fault-free traces keep their exact current column set.
-void add_fault_gauges(trace::MetricsSnapshotter& snap, stats::Registry& reg) {
-  const auto epoch_delta = [&reg](const char* name) {
-    return [&reg, name, prev = 0.0]() mutable {
-      const double t = static_cast<double>(reg.counter(name).value());
-      const double d = t - prev;
-      prev = t;
-      return d;
-    };
-  };
-  snap.add_gauge("fault_retries_epoch", epoch_delta("mem.fault_retries"));
-  snap.add_gauge("failed_lines_epoch", epoch_delta("mem.failed_lines"));
-  snap.add_gauge("brownout_writes_epoch",
-                 epoch_delta("mem.brownout_writes"));
-}
-
-/// Per-epoch DRAM-tier gauges; only registered when the tier is on so
-/// tier-off traces keep their exact column set.
-void add_dram_gauges(trace::MetricsSnapshotter& snap, stats::Registry& reg) {
-  const auto epoch_delta = [&reg](const char* name) {
-    return [&reg, name, prev = 0.0]() mutable {
-      const double t = static_cast<double>(reg.counter(name).value());
-      const double d = t - prev;
-      prev = t;
-      return d;
-    };
-  };
-  snap.add_gauge("dram_hits_epoch", epoch_delta("mem.dram_hits"));
-  snap.add_gauge("dram_misses_epoch", epoch_delta("mem.dram_misses"));
-  snap.add_gauge("dram_writebacks_epoch",
-                 epoch_delta("mem.dram_writebacks"));
-  snap.add_gauge("dram_clean_evicts_epoch",
-                 epoch_delta("mem.dram_clean_evicts"));
-}
-
-/// Per-epoch PALP gauges; only registered when partition-level
-/// parallelism is on so PALP-off traces keep their exact column set.
-void add_palp_gauges(trace::MetricsSnapshotter& snap, stats::Registry& reg) {
-  const auto epoch_delta = [&reg](const char* name) {
-    return [&reg, name, prev = 0.0]() mutable {
-      const double t = static_cast<double>(reg.counter(name).value());
-      const double d = t - prev;
-      prev = t;
-      return d;
-    };
-  };
-  snap.add_gauge("palp_overlapped_reads_epoch",
-                 epoch_delta("mem.palp_overlapped_reads"));
-  snap.add_gauge("palp_pump_stalls_epoch",
-                 epoch_delta("mem.palp_pump_stalls"));
-  snap.add_gauge("palp_write_overlaps_epoch",
-                 epoch_delta("mem.palp_write_overlaps"));
-}
-
-/// Per-epoch content-encoder gauges; only registered when an encoder is
-/// configured so encoder-off traces keep their exact column set.
-void add_encode_gauges(trace::MetricsSnapshotter& snap, stats::Registry& reg) {
-  const auto epoch_delta = [&reg](const char* name) {
-    return [&reg, name, prev = 0.0]() mutable {
-      const double t = static_cast<double>(reg.counter(name).value());
-      const double d = t - prev;
-      prev = t;
-      return d;
-    };
-  };
-  snap.add_gauge("enc_writes_epoch", epoch_delta("mem.enc_writes"));
-  snap.add_gauge("enc_coded_units_epoch", epoch_delta("mem.enc_coded_units"));
-  snap.add_gauge("enc_tag_bits_epoch", epoch_delta("mem.enc_tag_bits"));
+/// m.field = the row's registry stat; kComponent rows are left alone.
+template <MetricSource S, class T>
+void read_stat(stats::Registry& reg, const char* stat, T& out) {
+  if constexpr (S == MetricSource::kCounter) {
+    out = reg.counter(stat).value();
+  } else if constexpr (S == MetricSource::kMean) {
+    out = reg.accumulator(stat).mean();
+  } else if constexpr (S == MetricSource::kP99) {
+    out = reg.histogram(stat).percentile(0.99);
+  }
 }
 
 }  // namespace
@@ -345,17 +288,14 @@ u64 config_hash(const SystemConfig& cfg) {
   return h;
 }
 
-RunMetrics run_system(const SystemConfig& cfg,
-                      const workload::WorkloadProfile& profile,
-                      schemes::SchemeKind kind) {
-  sim::Simulator sim;
-  stats::Registry reg;
-
+std::unique_ptr<mem::MemorySystem> make_memory_system(
+    sim::Simulator& sim, const SystemConfig& cfg, schemes::SchemeKind kind,
+    stats::Registry& reg, double ones_bias) {
   // The factory gives every channel its own scheme instance (schemes
   // carry mutable planning state); channels == 1 builds exactly one. The
   // configured content encoder wraps each instance as a pre-stage
   // (wrap_scheme is the identity for EncoderKind::kNone).
-  const mem::SchemeFactory factory = [&](u32) {
+  const mem::SchemeFactory factory = [&cfg, kind](u32) {
     return encode::wrap_scheme(core::make_scheme(kind, cfg.pcm, cfg.tetris),
                                cfg.encode.kind);
   };
@@ -363,9 +303,57 @@ RunMetrics run_system(const SystemConfig& cfg,
   // batch.max_lines is the canonical multi-line knob: when set it bounds
   // the controller's same-bank write gather (1 = per-line packing).
   if (cfg.batch.max_lines > 0) ccfg.write_batch = cfg.batch.max_lines;
-  mem::MemorySystem msys(sim, cfg.pcm, ccfg, factory, reg, cfg.fault,
-                         cfg.seed, profile.initial_ones_fraction,
-                         cfg.xbar_latency, cfg.sim_threads, cfg.dram);
+  return std::make_unique<mem::MemorySystem>(
+      sim, cfg.pcm, ccfg, factory, reg, cfg.fault, cfg.seed, ones_bias,
+      cfg.xbar_latency, cfg.sim_threads, cfg.dram);
+}
+
+void harvest(mem::MemorySystem& msys, const cpu::MultiCore& cpus,
+             stats::Registry& reg, RunMetrics& m) {
+  m.scheme = std::string(msys.scheme().name());
+  m.completed = cpus.all_finished();
+  msys.merge_stats();
+#define TW_HARVEST(field, type, init, source, stat, decimals, csv, gauge) \
+  read_stat<MetricSource::source>(reg, stat, m.field);
+  TW_RUN_METRICS(TW_HARVEST)
+#undef TW_HARVEST
+  // The kComponent rows: the cores' and the kernel's totals, and the
+  // per-channel device models summed (energy, wear) or maxed (queue
+  // peaks).
+  m.sim_events = msys.executed_events();
+  m.retired = cpus.total_retired();
+  m.ipc = cpus.aggregate_ipc();
+  m.runtime_ns = to_ns(cpus.runtime());
+  u64 wear_bits = 0;
+  u64 wear_writes = 0;
+  u64 set_bits = 0;
+  for (u32 c = 0; c < msys.channels(); ++c) {
+    const mem::Controller& ctl = msys.channel(c);
+    m.write_energy_pj += ctl.energy().write_energy_pj();
+    m.read_energy_pj += ctl.energy().read_energy_pj();
+    set_bits += ctl.energy().set_bits();
+    const pcm::WearSummary wear = ctl.wear().summary();
+    wear_bits += wear.total_bits;
+    wear_writes += wear.total_writes;
+    m.read_q_peak = std::max<u64>(m.read_q_peak, ctl.read_queue_peak());
+    m.write_q_peak = std::max<u64>(m.write_q_peak, ctl.write_queue_peak());
+  }
+  m.bits_per_write = wear_writes == 0 ? 0.0
+                                      : static_cast<double>(wear_bits) /
+                                            static_cast<double>(wear_writes);
+  m.sets_per_write = wear_writes == 0 ? 0.0
+                                      : static_cast<double>(set_bits) /
+                                            static_cast<double>(wear_writes);
+}
+
+RunMetrics run_system(const SystemConfig& cfg,
+                      const workload::WorkloadProfile& profile,
+                      schemes::SchemeKind kind) {
+  sim::Simulator sim;
+  stats::Registry reg;
+  const std::unique_ptr<mem::MemorySystem> memory = make_memory_system(
+      sim, cfg, kind, reg, profile.initial_ones_fraction);
+  mem::MemorySystem& msys = *memory;
   const u32 channels = msys.channels();
   workload::TraceGenerator gen(profile, cfg.pcm.geometry, cfg.cores,
                                cfg.seed * 0x9E3779B9u + 7);
@@ -389,21 +377,7 @@ RunMetrics run_system(const SystemConfig& cfg,
       msys.bind_trace(*tracer);
     }
     snapshotter.emplace(sim, reg, cfg.trace.metrics_epoch);
-    if (channels == 1) {
-      add_standard_gauges(*snapshotter, sim, msys.channel(0), reg);
-    } else {
-      add_channel_gauges(*snapshotter, sim, msys);
-    }
-    if (cfg.fault.enabled() && channels == 1) {
-      add_fault_gauges(*snapshotter, reg);
-    }
-    if (channels == 1 && msys.channel(0).palp_active()) {
-      add_palp_gauges(*snapshotter, reg);
-    }
-    if (msys.dram_active()) add_dram_gauges(*snapshotter, reg);
-    if (cfg.encode.enabled() && channels == 1) {
-      add_encode_gauges(*snapshotter, reg);
-    }
+    add_gauges(*snapshotter, sim, msys, reg, cfg);
     snapshotter->start();
   }
 
@@ -412,8 +386,6 @@ RunMetrics run_system(const SystemConfig& cfg,
 
   RunMetrics m;
   m.workload = profile.name;
-  m.scheme = std::string(msys.scheme().name());
-  m.completed = cpus.all_finished();
 
   if (traced) {
     if (channels == 1) {
@@ -428,7 +400,7 @@ RunMetrics run_system(const SystemConfig& cfg,
     trace::RunManifest manifest;
     manifest.version = kVersionString;
     manifest.git_sha = trace::build_git_sha();
-    manifest.scheme = m.scheme;
+    manifest.scheme = msys.scheme().name();
     manifest.workload = m.workload;
     manifest.config_hash = config_hash(cfg);
     manifest.seed = cfg.seed;
@@ -451,74 +423,7 @@ RunMetrics run_system(const SystemConfig& cfg,
     m.trace_samples = snapshotter->samples_taken();
   }
 
-  // Fold per-channel registries into the main registry (no-op for
-  // channels == 1) before harvesting.
-  msys.merge_stats();
-  m.read_latency_ns = reg.accumulator("mem.read_latency_ns").mean();
-  m.write_latency_ns = reg.accumulator("mem.write_latency_ns").mean();
-  m.write_service_ns = reg.accumulator("mem.write_service_ns").mean();
-  m.write_units = reg.accumulator("mem.write_units").mean();
-  m.read_p99_ns = reg.histogram("mem.read_latency_hist_ns").percentile(0.99);
-  m.write_p99_ns =
-      reg.histogram("mem.write_latency_hist_ns").percentile(0.99);
-  m.reads = reg.counter("mem.reads").value();
-  m.writes = reg.counter("mem.writes").value();
-  m.sim_events = msys.executed_events();
-  m.retired = cpus.total_retired();
-  m.ipc = cpus.aggregate_ipc();
-  m.runtime_ns = to_ns(cpus.runtime());
-  // Per-channel device models aggregate across channels (channels == 1
-  // reduces to the plain single-controller reads).
-  u64 wear_bits = 0;
-  u64 wear_writes = 0;
-  u64 set_bits = 0;
-  m.write_energy_pj = 0.0;
-  m.read_energy_pj = 0.0;
-  for (u32 c = 0; c < channels; ++c) {
-    m.write_energy_pj += msys.channel(c).energy().write_energy_pj();
-    m.read_energy_pj += msys.channel(c).energy().read_energy_pj();
-    set_bits += msys.channel(c).energy().set_bits();
-    const pcm::WearSummary wear = msys.channel(c).wear().summary();
-    wear_bits += wear.total_bits;
-    wear_writes += wear.total_writes;
-  }
-  m.bits_per_write = wear_writes == 0 ? 0.0
-                                      : static_cast<double>(wear_bits) /
-                                            static_cast<double>(wear_writes);
-  m.sets_per_write = wear_writes == 0 ? 0.0
-                                      : static_cast<double>(set_bits) /
-                                            static_cast<double>(wear_writes);
-  m.write_pauses = reg.counter("mem.write_pauses").value();
-  m.gap_moves = reg.counter("mem.gap_moves").value();
-  m.writes_batched = reg.counter("mem.writes_batched").value();
-  m.batch_lines = reg.accumulator("mem.batch_lines").mean();
-  m.batch_occupancy = reg.accumulator("mem.batch_occupancy").mean();
-  m.reads_forwarded = reg.counter("mem.reads_forwarded").value();
-  m.writes_coalesced = reg.counter("mem.writes_coalesced").value();
-  m.read_q_peak = 0;
-  m.write_q_peak = 0;
-  for (u32 c = 0; c < channels; ++c) {
-    m.read_q_peak = std::max<u64>(m.read_q_peak,
-                                  msys.channel(c).read_queue_peak());
-    m.write_q_peak = std::max<u64>(m.write_q_peak,
-                                   msys.channel(c).write_queue_peak());
-  }
-  m.dispatch_rounds = reg.counter("mem.dispatch_rounds").value();
-  m.row_hits = reg.counter("mem.row_hits").value();
-  m.fault_retries = reg.counter("mem.fault_retries").value();
-  m.failed_lines = reg.counter("mem.failed_lines").value();
-  m.brownout_writes = reg.counter("mem.brownout_writes").value();
-  m.stuck_remaps = reg.counter("mem.stuck_remaps").value();
-  m.palp_overlapped_reads = reg.counter("mem.palp_overlapped_reads").value();
-  m.palp_pump_stalls = reg.counter("mem.palp_pump_stalls").value();
-  m.palp_write_overlaps = reg.counter("mem.palp_write_overlaps").value();
-  m.dram_hits = reg.counter("mem.dram_hits").value();
-  m.dram_misses = reg.counter("mem.dram_misses").value();
-  m.dram_writebacks = reg.counter("mem.dram_writebacks").value();
-  m.dram_clean_evicts = reg.counter("mem.dram_clean_evicts").value();
-  m.enc_writes = reg.counter("mem.enc_writes").value();
-  m.enc_coded_units = reg.counter("mem.enc_coded_units").value();
-  m.enc_tag_bits = reg.counter("mem.enc_tag_bits").value();
+  harvest(msys, cpus, reg, m);
   return m;
 }
 

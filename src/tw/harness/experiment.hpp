@@ -3,6 +3,7 @@
 // cores + workload for one (workload, scheme) cell and runs it to
 // completion, returning the metrics the paper's figures are built from.
 
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -12,6 +13,8 @@
 #include "tw/fault/fault.hpp"
 #include "tw/mem/controller.hpp"
 #include "tw/mem/dram_tier.hpp"
+#include "tw/mem/memory_system.hpp"
+#include "tw/stats/registry.hpp"
 #include "tw/trace/tracer.hpp"
 #include "tw/workload/profiles.hpp"
 
@@ -78,62 +81,141 @@ struct SystemConfig {
 /// identifies the exact configuration that produced it.
 u64 config_hash(const SystemConfig& cfg);
 
+/// Where a TW_RUN_METRICS row's value comes from.
+enum class MetricSource {
+  kCounter,    ///< the registry counter `stat`
+  kMean,       ///< the mean of the registry accumulator `stat`
+  kP99,        ///< the 99th percentile of the registry histogram `stat`
+  kComponent,  ///< read off a component by harvest() (no registry stat)
+};
+
+/// The per-epoch trace gauges a row gets: with tracing on and its group
+/// active, `<field>_epoch` charts the row's stat delta per metrics epoch,
+/// summed over every channel. kNone rows get no gauge.
+enum class GaugeGroup {
+  kNone,
+  kFault,   ///< a fault model is active
+  kPalp,    ///< partition-level parallelism is active
+  kDram,    ///< the DRAM front tier is on
+  kEncode,  ///< a content encoder is configured
+};
+
+/// Every run metric, declared once. Each row generates a RunMetrics
+/// field, a kMetrics entry and, for registry sources, its read in
+/// harvest() and its trace gauge. Rows run in kMetrics order: the csv
+/// rows first, in write_csv's column order.
+///   X(field, type, default, MetricSource, stat, decimals, csv, GaugeGroup)
+#define TW_RUN_METRICS(X)                                                    \
+  X(completed, bool, false, kComponent, "", 0, true, kNone)                  \
+  /** mean memory read latency */                                            \
+  X(read_latency_ns, double, 0.0, kMean, "mem.read_latency_ns", 2, true,     \
+    kNone)                                                                   \
+  /** mean write latency (queue + service) */                                \
+  X(write_latency_ns, double, 0.0, kMean, "mem.write_latency_ns", 2, true,   \
+    kNone)                                                                   \
+  /** mean write service time alone */                                       \
+  X(write_service_ns, double, 0.0, kMean, "mem.write_service_ns", 2, true,   \
+    kNone)                                                                   \
+  /** mean serial write units per line */                                    \
+  X(write_units, double, 0.0, kMean, "mem.write_units", 3, true, kNone)      \
+  /** whole-system IPC */                                                    \
+  X(ipc, double, 0.0, kComponent, "", 4, true, kNone)                        \
+  /** time to retire all budgets */                                          \
+  X(runtime_ns, double, 0.0, kComponent, "", 1, true, kNone)                 \
+  X(reads, u64, 0, kCounter, "mem.reads", 0, true, kNone)                    \
+  X(writes, u64, 0, kCounter, "mem.writes", 0, true, kNone)                  \
+  X(retired, u64, 0, kComponent, "", 0, true, kNone)                         \
+  X(write_energy_pj, double, 0.0, kComponent, "", 1, true, kNone)            \
+  X(read_energy_pj, double, 0.0, kComponent, "", 1, true, kNone)             \
+  /** programmed bits per line write (wear) */                               \
+  X(bits_per_write, double, 0.0, kComponent, "", 2, true, kNone)             \
+  X(read_p99_ns, double, 0.0, kP99, "mem.read_latency_hist_ns", 1, true,     \
+    kNone)                                                                   \
+  X(write_p99_ns, double, 0.0, kP99, "mem.write_latency_hist_ns", 1, true,   \
+    kNone)                                                                   \
+  /** simulator events executed (kernel throughput) */                       \
+  X(sim_events, u64, 0, kComponent, "", 0, false, kNone)                     \
+  /** SET pulses per line write */                                           \
+  X(sets_per_write, double, 0.0, kComponent, "", 2, false, kNone)            \
+  /** write-pausing preemptions */                                           \
+  X(write_pauses, u64, 0, kCounter, "mem.write_pauses", 0, false, kNone)     \
+  /** Start-Gap migration writes */                                          \
+  X(gap_moves, u64, 0, kCounter, "mem.gap_moves", 0, false, kNone)           \
+  /** writes serviced in multi-line batches */                               \
+  X(writes_batched, u64, 0, kCounter, "mem.writes_batched", 0, false, kNone) \
+  /** mean lines per multi-line batch issue */                               \
+  X(batch_lines, double, 0.0, kMean, "mem.batch_lines", 3, false, kNone)     \
+  /** mean budget utilization of joint packs */                              \
+  X(batch_occupancy, double, 0.0, kMean, "mem.batch_occupancy", 4, false,    \
+    kNone)                                                                   \
+  /* Controller queue statistics (thread-count invariant like the rest). */  \
+  /** reads served from queued write data */                                 \
+  X(reads_forwarded, u64, 0, kCounter, "mem.reads_forwarded", 0, false,      \
+    kNone)                                                                   \
+  /** writes merged into a queued same-line write */                         \
+  X(writes_coalesced, u64, 0, kCounter, "mem.writes_coalesced", 0, false,    \
+    kNone)                                                                   \
+  /** deepest the read queue ever got (maximum over channels) */             \
+  X(read_q_peak, u64, 0, kComponent, "", 0, false, kNone)                    \
+  /** deepest the write queue ever got (maximum over channels) */            \
+  X(write_q_peak, u64, 0, kComponent, "", 0, false, kNone)                   \
+  /** controller scheduling rounds executed */                               \
+  X(dispatch_rounds, u64, 0, kCounter, "mem.dispatch_rounds", 0, false,      \
+    kNone)                                                                   \
+  /** consecutive same-row activations per bank */                           \
+  X(row_hits, u64, 0, kCounter, "mem.row_hits", 0, false, kNone)             \
+  /* Fault injection (zero when faults were off). */                         \
+  /** verify-and-retry attempts run */                                       \
+  X(fault_retries, u64, 0, kCounter, "mem.fault_retries", 0, false, kFault)  \
+  /** lines still failed after the retry ladder */                           \
+  X(failed_lines, u64, 0, kCounter, "mem.failed_lines", 0, false, kFault)    \
+  /** writes planned under a shrunken budget */                              \
+  X(brownout_writes, u64, 0, kCounter, "mem.brownout_writes", 0, false,      \
+    kFault)                                                                  \
+  /** services redirected off a stuck bank */                                \
+  X(stuck_remaps, u64, 0, kCounter, "mem.stuck_remaps", 0, false, kNone)     \
+  /* Partition-level parallelism (zero when PALP was off). */                \
+  /** reads issued against a loaded pump */                                  \
+  X(palp_overlapped_reads, u64, 0, kCounter, "mem.palp_overlapped_reads", 0, \
+    false, kPalp)                                                            \
+  /** admissions deferred by the pump budget */                              \
+  X(palp_pump_stalls, u64, 0, kCounter, "mem.palp_pump_stalls", 0, false,    \
+    kPalp)                                                                   \
+  /** writes begun while another was in flight */                            \
+  X(palp_write_overlaps, u64, 0, kCounter, "mem.palp_write_overlaps", 0,     \
+    false, kPalp)                                                            \
+  /* DRAM front tier (zero when the tier was off). */                        \
+  /** requests absorbed by the tier */                                       \
+  X(dram_hits, u64, 0, kCounter, "mem.dram_hits", 0, false, kDram)           \
+  /** requests that went to the PCM path */                                  \
+  X(dram_misses, u64, 0, kCounter, "mem.dram_misses", 0, false, kDram)       \
+  /** dirty lines written back to PCM */                                     \
+  X(dram_writebacks, u64, 0, kCounter, "mem.dram_writebacks", 0, false,      \
+    kDram)                                                                   \
+  /** clean victims dropped without PCM traffic */                           \
+  X(dram_clean_evicts, u64, 0, kCounter, "mem.dram_clean_evicts", 0, false,  \
+    kDram)                                                                   \
+  /* Content-encoder pre-stage (zero when no encoder was configured). */     \
+  /** line writes that went through the encoder */                           \
+  X(enc_writes, u64, 0, kCounter, "mem.enc_writes", 0, false, kEncode)       \
+  /** units stored under a non-identity code */                              \
+  X(enc_coded_units, u64, 0, kCounter, "mem.enc_coded_units", 0, false,      \
+    kEncode)                                                                 \
+  /** encoder metadata cells pulsed */                                       \
+  X(enc_tag_bits, u64, 0, kCounter, "mem.enc_tag_bits", 0, false, kEncode)
+
 /// Metrics of one completed run.
 struct RunMetrics {
   std::string workload;
   std::string scheme;
-  bool completed = false;
-
-  double read_latency_ns = 0.0;   ///< mean memory read latency
-  double write_latency_ns = 0.0;  ///< mean write latency (queue + service)
-  double write_service_ns = 0.0;  ///< mean write service time alone
-  double write_units = 0.0;       ///< mean serial write units per line
-  double ipc = 0.0;               ///< whole-system IPC
-  double runtime_ns = 0.0;        ///< time to retire all budgets
-  u64 reads = 0;
-  u64 writes = 0;
-  u64 retired = 0;
-  u64 sim_events = 0;  ///< simulator events executed (kernel throughput)
-  double write_energy_pj = 0.0;
-  double read_energy_pj = 0.0;
-  double bits_per_write = 0.0;    ///< programmed bits per line write (wear)
-  double sets_per_write = 0.0;    ///< SET pulses per line write
-  double read_p99_ns = 0.0;
-  double write_p99_ns = 0.0;
-  u64 write_pauses = 0;   ///< write-pausing preemptions
-  u64 gap_moves = 0;      ///< Start-Gap migration writes
-  u64 writes_batched = 0; ///< writes serviced in multi-line batches
-  double batch_lines = 0.0;      ///< mean lines per multi-line batch issue
-  double batch_occupancy = 0.0;  ///< mean budget utilization of joint packs
-  // Controller queue statistics (thread-count invariant like the rest).
-  u64 reads_forwarded = 0;   ///< reads served from queued write data
-  u64 writes_coalesced = 0;  ///< writes merged into a queued same-line write
-  u64 read_q_peak = 0;       ///< deepest the read queue ever got
-  u64 write_q_peak = 0;      ///< deepest the write queue ever got
-  u64 dispatch_rounds = 0;   ///< controller scheduling rounds executed
-  u64 row_hits = 0;          ///< consecutive same-row activations per bank
-  // Tracing (zero when the run was untraced).
+#define TW_FIELD(field, type, init, ...) type field = init;
+  TW_RUN_METRICS(TW_FIELD)
+#undef TW_FIELD
+  // Tracing (zero when the run was untraced; not run metrics, so not in
+  // kMetrics).
   u64 trace_records = 0;   ///< records collected into the sinks
   u64 trace_dropped = 0;   ///< records lost to ring wraparound
   u64 trace_samples = 0;   ///< metrics snapshots taken
-  // Fault injection (zero when faults were off).
-  u64 fault_retries = 0;    ///< verify-and-retry attempts run
-  u64 failed_lines = 0;     ///< lines still failed after the retry ladder
-  u64 brownout_writes = 0;  ///< writes planned under a shrunken budget
-  u64 stuck_remaps = 0;     ///< services redirected off a stuck bank
-  // Partition-level parallelism (zero when PALP was off).
-  u64 palp_overlapped_reads = 0;  ///< reads issued against a loaded pump
-  u64 palp_pump_stalls = 0;       ///< admissions deferred by the pump budget
-  u64 palp_write_overlaps = 0;    ///< writes begun while another was in flight
-  // DRAM front tier (zero when the tier was off).
-  u64 dram_hits = 0;          ///< requests absorbed by the tier
-  u64 dram_misses = 0;        ///< requests that went to the PCM path
-  u64 dram_writebacks = 0;    ///< dirty lines written back to PCM
-  u64 dram_clean_evicts = 0;  ///< clean victims dropped without PCM traffic
-  // Content-encoder pre-stage (zero when no encoder was configured).
-  u64 enc_writes = 0;       ///< line writes that went through the encoder
-  u64 enc_coded_units = 0;  ///< units stored under a non-identity code
-  u64 enc_tag_bits = 0;     ///< encoder metadata cells pulsed
 };
 
 /// One reportable scalar of a RunMetrics: the name tables, CSV headers and
@@ -145,56 +227,14 @@ struct MetricDef {
   bool csv;  ///< a column of write_csv
 };
 
-#define TW_METRIC(field, decimals, csv)                                     \
-  MetricDef {                                                               \
-    #field, [](const RunMetrics& r) { return static_cast<double>(r.field); }, \
-        decimals, csv                                                       \
-  }
-
 /// Every metric by name, write_csv's columns first and in its order.
 inline constexpr MetricDef kMetrics[] = {
-    TW_METRIC(completed, 0, true),
-    TW_METRIC(read_latency_ns, 2, true),
-    TW_METRIC(write_latency_ns, 2, true),
-    TW_METRIC(write_service_ns, 2, true),
-    TW_METRIC(write_units, 3, true),
-    TW_METRIC(ipc, 4, true),
-    TW_METRIC(runtime_ns, 1, true),
-    TW_METRIC(reads, 0, true),
-    TW_METRIC(writes, 0, true),
-    TW_METRIC(retired, 0, true),
-    TW_METRIC(write_energy_pj, 1, true),
-    TW_METRIC(read_energy_pj, 1, true),
-    TW_METRIC(bits_per_write, 2, true),
-    TW_METRIC(read_p99_ns, 1, true),
-    TW_METRIC(write_p99_ns, 1, true),
-    TW_METRIC(sim_events, 0, false),
-    TW_METRIC(sets_per_write, 2, false),
-    TW_METRIC(write_pauses, 0, false),
-    TW_METRIC(gap_moves, 0, false),
-    TW_METRIC(writes_batched, 0, false),
-    TW_METRIC(batch_lines, 3, false),
-    TW_METRIC(batch_occupancy, 4, false),
-    TW_METRIC(reads_forwarded, 0, false),
-    TW_METRIC(writes_coalesced, 0, false),
-    TW_METRIC(read_q_peak, 0, false),
-    TW_METRIC(write_q_peak, 0, false),
-    TW_METRIC(dispatch_rounds, 0, false),
-    TW_METRIC(row_hits, 0, false),
-    TW_METRIC(fault_retries, 0, false),
-    TW_METRIC(failed_lines, 0, false),
-    TW_METRIC(brownout_writes, 0, false),
-    TW_METRIC(stuck_remaps, 0, false),
-    TW_METRIC(palp_overlapped_reads, 0, false),
-    TW_METRIC(palp_pump_stalls, 0, false),
-    TW_METRIC(palp_write_overlaps, 0, false),
-    TW_METRIC(dram_hits, 0, false),
-    TW_METRIC(dram_misses, 0, false),
-    TW_METRIC(dram_writebacks, 0, false),
-    TW_METRIC(dram_clean_evicts, 0, false),
-    TW_METRIC(enc_writes, 0, false),
-    TW_METRIC(enc_coded_units, 0, false),
-    TW_METRIC(enc_tag_bits, 0, false),
+#define TW_METRIC_DEF(field, type, init, source, stat, decimals, csv, gauge) \
+  MetricDef{#field,                                                          \
+            [](const RunMetrics& r) { return static_cast<double>(r.field); }, \
+            decimals, csv},
+    TW_RUN_METRICS(TW_METRIC_DEF)
+#undef TW_METRIC_DEF
     // Derived from the fields above.
     MetricDef{"energy_per_write_pj",
               [](const RunMetrics& r) {
@@ -220,8 +260,6 @@ inline constexpr MetricDef kMetrics[] = {
               0, false},
 };
 
-#undef TW_METRIC
-
 /// The kMetrics row called `name`, or nullptr.
 inline const MetricDef* find_metric(std::string_view name) {
   for (const MetricDef& m : kMetrics) {
@@ -241,6 +279,21 @@ inline std::string differing_metrics(const RunMetrics& a,
   }
   return out;
 }
+
+/// The memory side of a run_system cell on `sim`: every channel gets its
+/// own `kind` scheme behind the configured content encoder, and
+/// batch.max_lines, when set, bounds the controller's write gather.
+std::unique_ptr<mem::MemorySystem> make_memory_system(
+    sim::Simulator& sim, const SystemConfig& cfg, schemes::SchemeKind kind,
+    stats::Registry& reg, double ones_bias);
+
+/// Fill `m`'s scheme and TW_RUN_METRICS fields from a finished run:
+/// fold the channel registries into `reg`, read every registry row, then
+/// the kComponent rows off `msys` and `cpus`. A stat no component
+/// registered reads 0 and is created in `reg`, which is how a misnamed
+/// row shows.
+void harvest(mem::MemorySystem& msys, const cpu::MultiCore& cpus,
+             stats::Registry& reg, RunMetrics& m);
 
 /// Run one cell. Deterministic in (cfg.seed, profile, kind).
 RunMetrics run_system(const SystemConfig& cfg,

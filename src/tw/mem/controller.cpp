@@ -247,9 +247,7 @@ bool Controller::enqueue(MemoryRequest req) {
         MemoryRequest done = req;
         done.start_tick = sim_.now();
         done.complete_tick = sim_.now() + cfg_.forward_latency;
-        const double lat_ns = to_ns(cfg_.forward_latency);
-        a_read_latency_.add(lat_ns);
-        h_read_latency_.add(static_cast<u64>(lat_ns));
+        record_read_latency(cfg_.forward_latency);
         const u32 slot = acquire_read_slot(std::move(done));
         sim_.schedule_in(
             cfg_.forward_latency,
@@ -270,10 +268,7 @@ bool Controller::enqueue(MemoryRequest req) {
     }
   }
 
-  if (!dispatch_scheduled_) {
-    dispatch_scheduled_ = true;
-    sim_.schedule_in(0, [this] { dispatch(); }, sim::Priority::kController);
-  }
+  schedule_dispatch();
   return true;
 }
 
@@ -299,6 +294,20 @@ MemoryRequest Controller::take_read_slot(u32 slot) {
   MemoryRequest req = std::move(read_pool_[slot]);
   free_read_slots_.push_back(slot);
   return req;
+}
+
+void Controller::record_read_latency(Tick latency) {
+  const double lat_ns = to_ns(latency);
+  a_read_latency_.add(lat_ns);
+  h_read_latency_.add(static_cast<u64>(lat_ns));
+}
+
+void Controller::finish_write(MemoryRequest& req) {
+  req.complete_tick = sim_.now();
+  const double lat_ns = to_ns(req.complete_tick - req.enqueue_tick);
+  a_write_latency_.add(lat_ns);
+  h_write_latency_.add(static_cast<u64>(lat_ns));
+  if (on_write_) on_write_(req);
 }
 
 void Controller::schedule_dispatch() {
@@ -718,11 +727,7 @@ void Controller::complete_palp_write(u32 bank, u64 epoch) {
                           bank_track(cfg_.track_base, bank), sim_.now(),
                           req.id, service);
     }
-    req.complete_tick = sim_.now();
-    const double lat_ns = to_ns(req.complete_tick - req.enqueue_tick);
-    a_write_latency_.add(lat_ns);
-    h_write_latency_.add(static_cast<u64>(lat_ns));
-    if (on_write_) on_write_(req);
+    finish_write(req);
     schedule_dispatch();
     return;
   }
@@ -826,9 +831,7 @@ void Controller::issue_read(u32 id) {
 
   req.start_tick = now;
   req.complete_tick = now + service;
-  const double lat_ns = to_ns(req.complete_tick - req.enqueue_tick);
-  a_read_latency_.add(lat_ns);
-  h_read_latency_.add(static_cast<u64>(lat_ns));
+  record_read_latency(req.complete_tick - req.enqueue_tick);
 
   const u32 slot = acquire_read_slot(std::move(req));
   sim_.schedule_in(
@@ -1050,11 +1053,7 @@ void Controller::issue_write_batch(u32 head) {
           const u32 next = nodes_[id].by_bucket.next;
           MemoryRequest r = take_node(id);
           id = next;
-          r.complete_tick = sim_.now();
-          const double lat_ns = to_ns(r.complete_tick - r.enqueue_tick);
-          a_write_latency_.add(lat_ns);
-          h_write_latency_.add(static_cast<u64>(lat_ns));
-          if (on_write_) on_write_(r);
+          finish_write(r);
         }
         schedule_dispatch();
       },
@@ -1102,11 +1101,7 @@ void Controller::complete_write(u32 bank, u64 epoch) {
   }
   active.reset();
   --inflight_;
-  req.complete_tick = sim_.now();
-  const double lat_ns = to_ns(req.complete_tick - req.enqueue_tick);
-  a_write_latency_.add(lat_ns);
-  h_write_latency_.add(static_cast<u64>(lat_ns));
-  if (on_write_) on_write_(req);
+  finish_write(req);
   schedule_dispatch();
 }
 

@@ -253,6 +253,11 @@ class Controller : public MemoryInterface {
   void dispatch_reads(Tick now);
   void dispatch_writes(Tick now);
   void schedule_dispatch();
+  /// Record one read's enqueue-to-completion latency.
+  void record_read_latency(Tick latency);
+  /// Stamp `req` complete now, record its write latency and hand it to
+  /// the write callback. The caller schedules the next dispatch.
+  void finish_write(MemoryRequest& req);
 
   // Node plumbing. enqueue_* link a freshly filled node into both lists
   // and maintain the non-empty bitmaps; unlink_* do the reverse. The node

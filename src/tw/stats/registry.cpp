@@ -22,6 +22,16 @@ Log2Histogram& Registry::histogram(const std::string& name) {
   return *slot;
 }
 
+const Counter* Registry::find_counter(const std::string& name) const {
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? nullptr : it->second.get();
+}
+
+const Accumulator* Registry::find_accumulator(const std::string& name) const {
+  const auto it = accs_.find(name);
+  return it == accs_.end() ? nullptr : it->second.get();
+}
+
 void Registry::report(std::ostream& out, const std::string& prefix) const {
   for (const auto& [name, c] : counters_) {
     out << prefix << name << " " << c->value() << "\n";

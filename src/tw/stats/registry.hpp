@@ -27,6 +27,11 @@ class Registry {
   /// Register (or fetch) a histogram under `name`.
   Log2Histogram& histogram(const std::string& name);
 
+  /// The counter / accumulator registered under `name`, or nullptr.
+  /// Unlike counter() and accumulator(), these never create one.
+  const Counter* find_counter(const std::string& name) const;
+  const Accumulator* find_accumulator(const std::string& name) const;
+
   /// Print all stats, sorted by name, as "name value" lines.
   void report(std::ostream& out, const std::string& prefix = "") const;
 

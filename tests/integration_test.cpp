@@ -7,6 +7,8 @@
 #include <sstream>
 
 #include "tw/harness/figure.hpp"
+#include "tw/harness/knobs.hpp"
+#include "tw/workload/generator.hpp"
 
 namespace tw::harness {
 namespace {
@@ -192,6 +194,47 @@ TEST(Matrix, TableRendering) {
   EXPECT_NE(s.find("canneal"), std::string::npos);
   EXPECT_NE(s.find("geomean"), std::string::npos);
   EXPECT_NE(s.find("tetris"), std::string::npos);
+}
+
+// Every registry row of TW_RUN_METRICS names a stat some component
+// registers. With every feature group on, harvesting creates nothing in
+// the registry: a misnamed row would be created there and read 0.
+TEST(Metrics, HarvestReadsOnlyRegisteredStats) {
+  SystemConfig cfg;
+  std::vector<Setting> settings;
+  for (const char* flag :
+       {"--dram", "--dram.capacity_mb=0.015625", "--fault.profile=heavy",
+        "--palp", "--subarrays=4", "--encoder=coset",
+        "--batch.max_lines=4"}) {
+    ASSERT_TRUE(expand_flag(flag, settings)) << flag;
+  }
+  apply_settings(cfg, settings);
+  cfg.cores = 2;
+  cfg.instructions_per_core = 200'000;
+  const auto& profile = workload::profile_by_name("vips");
+  sim::Simulator sim;
+  stats::Registry reg;
+  const auto msys = make_memory_system(sim, cfg, schemes::SchemeKind::kTetris,
+                                       reg, profile.initial_ones_fraction);
+  workload::TraceGenerator gen(profile, cfg.pcm.geometry, cfg.cores,
+                               cfg.seed);
+  cpu::MultiCore cpus(sim, cfg.core, cfg.cores, *msys, gen,
+                      cfg.instructions_per_core);
+  cpus.start();
+  msys->run(cfg.max_sim_time);
+  ASSERT_TRUE(cpus.all_finished());
+
+  // One channel: merging the channel registries adds nothing either.
+  const std::size_t before = reg.size();
+  RunMetrics m;
+  harvest(*msys, cpus, reg, m);
+  EXPECT_EQ(reg.size(), before);
+  // Every group ran.
+  EXPECT_GT(m.dram_hits, 0u);
+  EXPECT_GT(m.fault_retries, 0u);
+  EXPECT_GT(m.palp_write_overlaps, 0u);
+  EXPECT_GT(m.enc_writes, 0u);
+  EXPECT_GT(m.writes_batched, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "tw/harness/experiment.hpp"
+#include "tw/harness/knobs.hpp"
 #include "tw/trace/chrome_sink.hpp"
 #include "tw/trace/emit.hpp"
 #include "tw/trace/metrics_sink.hpp"
@@ -445,6 +447,58 @@ TEST(TraceSystemTest, ConfigHashDistinguishesConfigs) {
   b = a;
   b.controller.write_batch = a.controller.write_batch + 1;
   EXPECT_NE(harness::config_hash(a), harness::config_hash(b));
+}
+
+// The fault, PALP and encoder gauges cover multi-channel runs, summing
+// every channel's counter: each gauge's per-epoch deltas add up to the
+// run's total.
+TEST(TraceSystemTest, MultiChannelFeatureGaugesSumToRunTotals) {
+  const std::string csv = temp_path("tw_trace_2ch.csv");
+  harness::SystemConfig cfg;
+  std::vector<harness::Setting> settings;
+  for (const char* flag : {"--channels=2", "--fault.profile=light", "--palp",
+                           "--subarrays=4", "--encoder=coset"}) {
+    ASSERT_TRUE(harness::expand_flag(flag, settings)) << flag;
+  }
+  harness::apply_settings(cfg, settings);
+  cfg.cores = 4;
+  cfg.instructions_per_core = 100'000;
+  cfg.trace.metrics_path = csv;
+  cfg.trace.categories = trace::category_bit(Category::kMetrics);
+  const harness::RunMetrics m = harness::run_system(
+      cfg, traced_profile(), schemes::SchemeKind::kTetris);
+  ASSERT_TRUE(m.completed);
+  EXPECT_EQ(m.trace_dropped, 0u);
+
+  std::map<std::string, double> sums;
+  std::istringstream in(slurp(csv));
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "time_ns,name,value");
+  while (std::getline(in, line)) {
+    const auto a = line.find(',');
+    const auto b = line.find(',', a + 1);
+    sums[line.substr(a + 1, b - a - 1)] += std::stod(line.substr(b + 1));
+  }
+  const std::pair<const char*, u64> totals[] = {
+      {"fault_retries_epoch", m.fault_retries},
+      {"failed_lines_epoch", m.failed_lines},
+      {"brownout_writes_epoch", m.brownout_writes},
+      {"palp_overlapped_reads_epoch", m.palp_overlapped_reads},
+      {"palp_pump_stalls_epoch", m.palp_pump_stalls},
+      {"palp_write_overlaps_epoch", m.palp_write_overlaps},
+      {"enc_writes_epoch", m.enc_writes},
+      {"enc_coded_units_epoch", m.enc_coded_units},
+      {"enc_tag_bits_epoch", m.enc_tag_bits},
+  };
+  for (const auto& [gauge, total] : totals) {
+    ASSERT_TRUE(sums.count(gauge)) << gauge;
+    EXPECT_EQ(sums[gauge], static_cast<double>(total)) << gauge;
+  }
+  EXPECT_GT(m.fault_retries, 0u);
+  EXPECT_GT(m.palp_overlapped_reads, 0u);
+  EXPECT_GT(m.enc_writes, 0u);
+  std::remove(csv.c_str());
 }
 
 TEST(TraceSystemTest, UntracedRunReportsNoTraceActivity) {
