@@ -104,6 +104,7 @@ void Core::stall_on_queue() {
   if (state_ == State::kStallQueue) return;
   ++stall_events_;
   state_ = State::kStallQueue;
+  stall_pool_ = ctl_.credit_pool(pending_.addr, pending_.is_write);
   stalled_.push_back(this);
 }
 

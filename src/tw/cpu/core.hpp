@@ -59,6 +59,10 @@ class Core {
   /// when the core is no longer queue-stalled.
   bool on_queue_space();
 
+  /// The memory's credit pool for the request this core is queue-stalled
+  /// on (MemoryInterface::kNoCreditPool when the memory promises none).
+  u32 stall_pool() const { return stall_pool_; }
+
   bool finished() const { return finished_; }
   Tick finish_tick() const { return finish_tick_; }
   u64 retired() const { return retired_; }
@@ -101,6 +105,7 @@ class Core {
   u64 writes_issued_ = 0;
   u64 stall_events_ = 0;
   State state_ = State::kIdle;
+  u32 stall_pool_ = mem::MemoryInterface::kNoCreditPool;
   workload::TraceOp pending_{};
   pcm::LogicalLine pending_data_;  ///< the pending write's payload
   bool has_pending_ = false;

@@ -26,11 +26,23 @@ MultiCore::MultiCore(sim::Simulator& sim, CoreConfig cfg, u32 cores,
 }
 
 void MultiCore::retry_stalled() {
-  // Oldest stall first; a core refused again keeps its place.
+  // Oldest stall first; a core refused again keeps its place. A pool's
+  // credits never rise during the walk (only a release message, which
+  // fires this callback, adds one), so a core waiting on a pool that
+  // already refused would be refused too: it keeps its place untried.
+  refused_.clear();
   std::size_t kept = 0;
   for (std::size_t i = 0; i < stalled_.size(); ++i) {
     Core* core = stalled_[i];
-    if (!core->on_queue_space()) stalled_[kept++] = core;
+    const u32 pool = core->stall_pool();
+    const bool pooled = pool != mem::MemoryInterface::kNoCreditPool;
+    if (pooled && std::find(refused_.begin(), refused_.end(), pool) !=
+                      refused_.end()) {
+      stalled_[kept++] = core;
+    } else if (!core->on_queue_space()) {
+      stalled_[kept++] = core;
+      if (pooled) refused_.push_back(pool);
+    }
   }
   stalled_.resize(kept);
 }

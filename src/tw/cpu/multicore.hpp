@@ -35,13 +35,15 @@ class MultiCore {
 
  private:
   /// Retries queue-stalled cores oldest stall first; a refused core
-  /// keeps its place.
+  /// keeps its place. Once a credit pool refuses, the walk skips the
+  /// later cores waiting on it (MemoryInterface::credit_pool).
   void retry_stalled();
 
   sim::Simulator& sim_;
   CoreConfig cfg_;
   std::vector<std::unique_ptr<Core>> cores_;
   StallFifo stalled_;
+  std::vector<u32> refused_;  ///< credit pools that refused this walk
 };
 
 }  // namespace tw::cpu

@@ -20,6 +20,9 @@ class MemoryInterface {
   using WriteCallback = std::function<void(const MemoryRequest&)>;
   using SpaceCallback = std::function<void()>;
 
+  /// credit_pool() value for a request that belongs to no credit pool.
+  static constexpr u32 kNoCreditPool = ~0u;
+
   virtual ~MemoryInterface() = default;
 
   /// Try to accept a request. Returns false when the target queue is full
@@ -35,6 +38,17 @@ class MemoryInterface {
 
   /// True when all queues are empty and all banks idle (quiesced).
   virtual bool idle() const = 0;
+
+  /// The credit pool a request for (addr, is_write) draws on, or
+  /// kNoCreditPool. Promise behind a pool: once enqueue() refuses one of
+  /// its requests, it refuses every request of that pool, with no side
+  /// effect beyond the first refusal's, until the space callback next
+  /// fires. A caller retrying stalled requests from that callback may
+  /// therefore skip the rest of a pool that refused. The default promises
+  /// nothing.
+  virtual u32 credit_pool(Addr /*addr*/, bool /*is_write*/) const {
+    return kNoCreditPool;
+  }
 
   /// Content store backing the line that holds `addr` (per-channel in a
   /// multi-channel system; stores are sparse and keyed by global line

@@ -219,6 +219,14 @@ bool MemorySystem::idle() const {
   return true;
 }
 
+u32 MemorySystem::credit_pool(Addr addr, bool is_write) const {
+  // Passthrough: Controller::enqueue draws a request id before its full
+  // check, so even a refused call has a side effect. DRAM tier: a refusal
+  // is about the tier's pending queue, which drains on its own schedule.
+  if (channels_ == 1 || dram_on_) return kNoCreditPool;
+  return map_.channel_of(addr) * 2 + (is_write ? 1 : 0);
+}
+
 DataStore& MemorySystem::store_for(Addr addr) {
   return chans_[channels_ == 1 ? 0 : map_.channel_of(addr)].ctl->store();
 }

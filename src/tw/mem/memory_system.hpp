@@ -22,6 +22,11 @@
 //     message); a write that coalesces into a queued same-line write
 //     (detected at delivery: queue depth unchanged) releases its credit
 //     immediately, since no completion will ever fire for it;
+//   * each channel's read and write credits form a credit pool
+//     (credit_pool() = channel * 2 + is_write): credits rise only when a
+//     release message arrives, so a refused pool stays refused until the
+//     next space callback. Passthrough (channels == 1) and the DRAM tier
+//     promise no pools;
 //   * a per-channel backlog FIFO absorbs any delivery the controller
 //     refuses (robustness against credit/queue drift, e.g. transient
 //     full windows); it drains on the channel's own space callback.
@@ -85,6 +90,7 @@ class MemorySystem : public MemoryInterface {
   void set_write_callback(WriteCallback cb) override;
   void set_space_callback(SpaceCallback cb) override;
   bool idle() const override;
+  u32 credit_pool(Addr addr, bool is_write) const override;
   DataStore& store_for(Addr addr) override;
 
   /// Advance the whole system (front + channels) to `limit`.
@@ -102,6 +108,9 @@ class MemorySystem : public MemoryInterface {
   /// Channel c's private registry (nullptr for channels == 1, where the
   /// controller registers in the main registry directly).
   stats::Registry* channel_registry(u32 c) { return chans_[c].reg.get(); }
+
+  /// The sharded engine (nullptr for channels == 1).
+  const sim::ShardedEngine* engine() const { return engine_.get(); }
 
   /// True when the DRAM front tier is active.
   bool dram_active() const { return dram_on_; }

@@ -1,6 +1,7 @@
 #include "tw/sim/sharded.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "tw/common/parallel.hpp"
 
@@ -16,6 +17,34 @@ void ShardedEngine::run_domain(u32 di, Tick limit) {
   trace::g_tls.mask = d.ring != nullptr ? d.mask : 0;
   d.sim->run(limit);
   trace::g_tls = saved;
+}
+
+bool ShardedEngine::use_pool() const {
+  if (threads_ == 1 || on_pool_worker()) return false;
+  // Measure each placement once before comparing the two.
+  if (inline_.windows == 0) return false;
+  if (pool_.windows == 0) return true;
+  const bool probe = (inline_.windows + pool_.windows) % kProbeEvery == 0;
+  return (pool_.mean_ns < inline_.mean_ns) != probe;
+}
+
+void ShardedEngine::run_channels(Tick wend) {
+  using WallClock = std::chrono::steady_clock;
+  const u32 n = domain_count();
+  const bool pool = use_pool();
+  const WallClock::time_point t0 = WallClock::now();
+  if (pool) {
+    // The pool barrier inside parallel_for orders the channels' writes
+    // before the caller's drain.
+    parallel_for(
+        n - 1,
+        [&](std::size_t i) { run_domain(static_cast<u32>(i) + 1, wend); },
+        threads_);
+  } else {
+    for (u32 d = 1; d < n; ++d) run_domain(d, wend);
+  }
+  const std::chrono::duration<double, std::nano> took = WallClock::now() - t0;
+  (pool ? pool_ : inline_).add(took.count());
 }
 
 void ShardedEngine::fire_message(u32 dst, u32 slot) {
@@ -67,13 +96,8 @@ u64 ShardedEngine::run(Tick limit) {
 
     // Phase 1: the front domain, serially on the calling thread.
     run_domain(0, wend);
-    // Phase 2: channel domains, concurrently. The pool barrier inside
-    // parallel_for orders these writes before the drain below.
-    if (n > 1) {
-      parallel_for(
-          n - 1, [&](std::size_t i) { run_domain(static_cast<u32>(i) + 1, wend); },
-          threads_);
-    }
+    // Phase 2: channel domains, inline or on the pool (run_channels).
+    if (n > 1) run_channels(wend);
     // Phase 3: serial barrier. Outboxes drain in fixed source order, so
     // destination sequence numbers are identical at every thread count.
     // Every fire tick is >= wstart + quantum > wend, hence >= dst.now().

@@ -3,7 +3,8 @@
 // lockstep through aligned time-quanta, with cross-domain interaction
 // carried by latency-Q messages. Domain 0 is the serial front (CPU cores,
 // caches, the XBar routing logic); domains 1..C are the per-channel
-// memory controllers and run concurrently on the shared ThreadPool.
+// memory controllers, run on the calling thread or concurrently on the
+// shared ThreadPool, whichever has measured cheaper.
 //
 // Determinism argument (conservative parallel DES with lookahead):
 // the quantum width equals the XBar latency Q. A message posted while
@@ -14,6 +15,14 @@
 // and the serial barrier drains outboxes in fixed source order (0..C),
 // assigning destination-simulator sequence numbers identically at every
 // thread count. Same seed => bit-identical events, metrics and traces.
+//
+// Phase-2 placement: a window holds only a handful of events, so handing
+// the channels to the pool (mutex, condvar wake, barrier) can cost more
+// than running them inline. The engine times every window's channel phase
+// and keeps a running mean per placement; each window runs the cheaper
+// way and every kProbeEvery-th window the other way, so the estimate
+// follows the host and the pool path keeps being exercised. Placement
+// never reaches results (see above): only wall time depends on it.
 //
 // Trace binding: each domain can be bound to a pre-created TraceRing;
 // the engine installs it into the thread-local emission state around the
@@ -37,8 +46,13 @@ class ShardedEngine {
   /// event itself only captures {engine, domain, slot}.
   using Message = BasicInlineFunction<64, true>;
 
+  /// Every kProbeEvery-th window runs its channel phase the way that has
+  /// measured dearer.
+  static constexpr u64 kProbeEvery = 64;
+
   /// quantum: window width in ticks == modeled XBar latency (>= 1).
-  /// threads: cap on pool threads for the channel phase (0 = all).
+  /// threads: cap on pool threads for the channel phase (0 = all; 1, or
+  /// a run() issued from a pool worker, keeps every window inline).
   ShardedEngine(Tick quantum, u32 threads)
       : quantum_(quantum == 0 ? 1 : quantum), threads_(threads) {}
   ShardedEngine(const ShardedEngine&) = delete;
@@ -84,7 +98,22 @@ class ShardedEngine {
     return n;
   }
 
+  /// Windows whose channel phase ran on the calling thread / on the pool
+  /// since construction (timing-dependent; results never depend on it).
+  u64 inline_windows() const { return inline_.windows; }
+  u64 pool_windows() const { return pool_.windows; }
+
  private:
+  /// Wall cost of one channel-phase placement: an exponential running
+  /// mean (weight 1/8) of its per-window time, seeded by its first window.
+  struct PhaseCost {
+    u64 windows = 0;
+    double mean_ns = 0.0;
+    void add(double ns) {
+      mean_ns = windows == 0 ? ns : mean_ns + (ns - mean_ns) / 8.0;
+      ++windows;
+    }
+  };
   struct Pending {
     u32 dst;
     Tick fire;
@@ -101,12 +130,17 @@ class ShardedEngine {
   };
 
   void run_domain(u32 d, Tick limit);
+  /// Phase 2: run channel domains 1..D-1 to `wend`, inline or on the pool.
+  void run_channels(Tick wend);
+  bool use_pool() const;
   void deliver(Pending& p);
   void fire_message(u32 dst, u32 slot);
 
   std::vector<Domain> domains_;
   Tick quantum_;
   u32 threads_;
+  PhaseCost inline_;
+  PhaseCost pool_;
 };
 
 }  // namespace tw::sim

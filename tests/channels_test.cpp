@@ -1,21 +1,32 @@
 // Multi-channel topology: address decode per interleave mode, geometry
 // validation with actionable messages, config-file surfacing, stats
-// merging, and a small end-to-end MemorySystem run over the sharded
-// engine.
+// merging, a small end-to-end MemorySystem run over the sharded engine,
+// and the two wall-time shortcuts of write-saturated runs (inline channel
+// phases, credit-pool retry walks) checked bit for bit against the
+// long way round.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "tw/core/factory.hpp"
+#include "tw/cpu/multicore.hpp"
 #include "tw/harness/config_file.hpp"
+#include "tw/harness/experiment.hpp"
 #include "tw/mem/address_map.hpp"
 #include "tw/mem/memory_system.hpp"
 #include "tw/pcm/params.hpp"
 #include "tw/stats/registry.hpp"
+#include "tw/trace/chrome_sink.hpp"
+#include "tw/trace/tracer.hpp"
+#include "tw/workload/generator.hpp"
+#include "tw/workload/profiles.hpp"
 
 namespace tw {
 namespace {
@@ -306,6 +317,238 @@ TEST(MemorySystemSharded, BackpressureSignalsSpaceCallback) {
   EXPECT_EQ(done, 2u);
   EXPECT_TRUE(space_seen);  // credit releases must wake the front
   EXPECT_TRUE(msys.idle());
+}
+
+// ------------------------------------- channel phase and the retry walk --
+
+TEST(MemorySystemSharded, CreditPoolsOnlyWhereRefusalsAreFree) {
+  // channel * 2 + is_write behind the XBar; no pools where a refused
+  // enqueue has a side effect (passthrough draws a request id) or waits on
+  // a queue of its own (the DRAM tier).
+  const auto pool = [](u32 channels, bool dram, u64 line, bool is_write) {
+    pcm::PcmConfig pc = pcm::table2_config();
+    pc.geometry.channels = channels;
+    sim::Simulator front;
+    stats::Registry reg;
+    mem::DramConfig d;
+    d.enabled = dram;
+    const mem::SchemeFactory factory = [&](u32) {
+      return core::make_scheme(schemes::SchemeKind::kDcw, pc);
+    };
+    mem::MemorySystem msys(front, pc, mem::ControllerConfig{}, factory, reg,
+                           fault::FaultConfig{}, 42, 0.35, ns(20), 1, d);
+    return msys.credit_pool(line * pc.geometry.cache_line_bytes, is_write);
+  };
+  EXPECT_EQ(pool(4, false, 0, false), 0u);
+  EXPECT_EQ(pool(4, false, 0, true), 1u);
+  EXPECT_EQ(pool(4, false, 5, false), 2u);  // kLine: line 5 -> channel 1
+  EXPECT_EQ(pool(4, false, 3, true), 7u);
+  EXPECT_EQ(pool(1, false, 3, true), mem::MemoryInterface::kNoCreditPool);
+  EXPECT_EQ(pool(4, true, 3, true), mem::MemoryInterface::kNoCreditPool);
+}
+
+/// MemoryInterface pass-through that counts what the cores ask of the
+/// memory: every enqueue, the accepted ones, first-stall refusals, and
+/// the refusals inside space-callback walks, by the credit pool they came
+/// from.
+/// With `hide_pools` it promises no credit pools, so MultiCore retries
+/// every stalled core on every walk.
+class CountingMemory final : public mem::MemoryInterface {
+ public:
+  CountingMemory(mem::MemoryInterface& inner, bool hide_pools, u32 cores)
+      : inner_(inner), hide_pools_(hide_pools), stalled_(cores, false) {}
+
+  bool enqueue(mem::MemoryRequest req) override {
+    const u32 pool = inner_.credit_pool(req.addr, req.is_write());
+    const u32 core = req.core;
+    ++calls;
+    if (inner_.enqueue(std::move(req))) {
+      ++accepted;
+      stalled_[core] = false;
+      return true;
+    }
+    if (!stalled_[core]) {
+      ++first_stalls;
+    } else if (in_walk_) {
+      if (std::find(walk_pools_.begin(), walk_pools_.end(), pool) ==
+          walk_pools_.end()) {
+        walk_pools_.push_back(pool);
+      } else {
+        ++pool_repeats;
+      }
+    } else {
+      ++stray_refusals;
+    }
+    stalled_[core] = true;
+    return false;
+  }
+  void set_read_callback(ReadCallback cb) override {
+    inner_.set_read_callback(std::move(cb));
+  }
+  void set_write_callback(WriteCallback cb) override {
+    inner_.set_write_callback(std::move(cb));
+  }
+  void set_space_callback(SpaceCallback cb) override {
+    inner_.set_space_callback([this, cb = std::move(cb)] {
+      ++walks;
+      in_walk_ = true;
+      walk_pools_.clear();
+      cb();
+      in_walk_ = false;
+    });
+  }
+  bool idle() const override { return inner_.idle(); }
+  u32 credit_pool(Addr addr, bool is_write) const override {
+    return hide_pools_ ? kNoCreditPool : inner_.credit_pool(addr, is_write);
+  }
+  mem::DataStore& store_for(Addr addr) override {
+    return inner_.store_for(addr);
+  }
+
+  u64 calls = 0;
+  u64 accepted = 0;
+  u64 first_stalls = 0;    ///< refusals of a core that was not stalled
+  u64 walks = 0;           ///< space callbacks
+  u64 pool_repeats = 0;    ///< walk refusals from a pool that already
+                           ///< refused in that walk
+  u64 stray_refusals = 0;  ///< refusals of stalled cores outside a walk
+
+ private:
+  mem::MemoryInterface& inner_;
+  bool hide_pools_;
+  std::vector<bool> stalled_;
+  bool in_walk_ = false;
+  std::vector<u32> walk_pools_;
+};
+
+/// Write-saturated vips/Tetris on 32 cores and 8 channels: the shape of
+/// the write_storm_8ch benchmark workload, at test size.
+harness::SystemConfig write_storm_config(u32 sim_threads) {
+  harness::SystemConfig cfg;
+  cfg.cores = 32;
+  cfg.instructions_per_core = 20'000;
+  cfg.pcm.geometry.channels = 8;
+  cfg.batch.max_lines = 4;
+  cfg.sim_threads = sim_threads;
+  cfg.seed = 42;
+  return cfg;
+}
+
+struct ShardedRun {
+  harness::RunMetrics m;
+  std::string trace;  ///< Chrome trace bytes, every domain traced
+  u64 trace_records = 0;
+  u64 inline_windows = 0;
+  u64 pool_windows = 0;
+};
+
+/// Run vips/Tetris under `cfg` as harness::run_system does. With `counter`
+/// engaged the cores talk to a CountingMemory(hide_pools) over the system,
+/// which is left in `counter` for the caller to read.
+ShardedRun run_sharded(const harness::SystemConfig& cfg,
+                       std::optional<CountingMemory>* counter = nullptr,
+                       bool hide_pools = false) {
+  const workload::WorkloadProfile& vips = workload::profile_by_name("vips");
+  sim::Simulator sim;
+  stats::Registry reg;
+  const auto msys = harness::make_memory_system(
+      sim, cfg, schemes::SchemeKind::kTetris, reg, vips.initial_ones_fraction);
+  workload::TraceGenerator gen(vips, cfg.pcm.geometry, cfg.cores,
+                               cfg.seed * 0x9E3779B9u + 7);
+  mem::MemoryInterface* front = msys.get();
+  if (counter != nullptr) {
+    counter->emplace(*msys, hide_pools, cfg.cores);
+    front = &**counter;
+  }
+  cpu::MultiCore cpus(sim, cfg.core, cfg.cores, *front, gen,
+                      cfg.instructions_per_core);
+  trace::Tracer tracer;
+  msys->bind_trace(tracer);
+  cpus.start();
+  msys->run(cfg.max_sim_time);
+
+  ShardedRun out;
+  out.m.workload = vips.name;
+  harness::harvest(*msys, cpus, reg, out.m);
+  std::ostringstream bytes;
+  trace::RunManifest manifest;
+  manifest.seed = cfg.seed;
+  const std::vector<trace::TraceRecord> records = tracer.collect();
+  trace::write_chrome_trace(bytes, records, manifest);
+  out.trace = bytes.str();
+  out.trace_records = records.size();
+  out.inline_windows = msys->engine()->inline_windows();
+  out.pool_windows = msys->engine()->pool_windows();
+  return out;
+}
+
+TEST(MemorySystemSharded, ChannelPhaseRunsInlineAndOnThePool) {
+  // The engine places each window's channel phase where it measured
+  // cheaper and probes the other placement every kProbeEvery-th window,
+  // so a long run uses both; placement must not reach a single bit.
+  const ShardedRun serial = run_sharded(write_storm_config(1));
+  const ShardedRun mixed = run_sharded(write_storm_config(2));
+  ASSERT_TRUE(serial.m.completed);
+  // Write-saturated: some channel's write queue filled up.
+  EXPECT_EQ(serial.m.write_q_peak,
+            write_storm_config(1).controller.write_queue_entries);
+  EXPECT_GT(serial.trace_records, 0u);
+  EXPECT_EQ(serial.pool_windows, 0u);  // sim_threads=1 stays inline
+  EXPECT_GE(mixed.inline_windows + mixed.pool_windows,
+            4 * sim::ShardedEngine::kProbeEvery);
+  EXPECT_GT(mixed.inline_windows, 0u);
+  EXPECT_GT(mixed.pool_windows, 0u);
+  EXPECT_EQ(harness::differing_metrics(serial.m, mixed.m), "");
+  EXPECT_EQ(serial.trace, mixed.trace);
+}
+
+TEST(MemorySystemSharded, DeterminismCellsReachThePoolPath) {
+  // tests/determinism_test.cpp's multi-channel cells (vips/Tetris, 2
+  // cores, 60 k instructions, 8 channels) run under the tsan preset; they
+  // must span enough windows that the pool placement runs more than once
+  // at every thread count they use.
+  for (const u32 threads : {2u, 8u}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    harness::SystemConfig cfg;
+    cfg.cores = 2;
+    cfg.instructions_per_core = 60'000;
+    cfg.seed = 42;
+    cfg.pcm.geometry.channels = 8;
+    cfg.sim_threads = threads;
+    const ShardedRun r = run_sharded(cfg);
+    EXPECT_GE(r.inline_windows + r.pool_windows,
+              sim::ShardedEngine::kProbeEvery);
+    EXPECT_GT(r.pool_windows, 1u);
+  }
+}
+
+TEST(MemorySystemSharded, RetryWalkSkipsPoolsThatRefused) {
+  // Credits only rise in a release message, which starts the walk, so a
+  // core waiting on a pool that already refused in this walk would be
+  // refused again. Skipping it saves the call and changes nothing.
+  const harness::SystemConfig cfg = write_storm_config(1);
+  std::optional<CountingMemory> skip;
+  std::optional<CountingMemory> full;
+  const ShardedRun a = run_sharded(cfg, &skip, /*hide_pools=*/false);
+  const ShardedRun b = run_sharded(cfg, &full, /*hide_pools=*/true);
+  ASSERT_TRUE(a.m.completed);
+  EXPECT_EQ(harness::differing_metrics(a.m, b.m), "");
+  EXPECT_EQ(a.trace, b.trace);
+
+  // Same simulation, so the same requests, stalls and walks.
+  EXPECT_EQ(skip->accepted, full->accepted);
+  EXPECT_EQ(skip->first_stalls, full->first_stalls);
+  EXPECT_EQ(skip->walks, full->walks);
+  EXPECT_GT(skip->walks, 0u);
+  EXPECT_EQ(skip->stray_refusals, 0u);
+  // Each of the 2 * channels pools refuses at most once per walk...
+  EXPECT_EQ(skip->pool_repeats, 0u);
+  EXPECT_LE(skip->calls, skip->accepted + skip->first_stalls +
+                             skip->walks * 2 * cfg.pcm.geometry.channels);
+  // ...where the full walk retries every stalled core (3.4x the calls on
+  // this cell).
+  EXPECT_GT(full->pool_repeats, 0u);
+  EXPECT_LT(2 * skip->calls, full->calls);
 }
 
 }  // namespace
