@@ -13,8 +13,6 @@ namespace {
 thread_local bool tls_pool_worker = false;
 }  // namespace
 
-bool on_pool_worker() { return tls_pool_worker; }
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();

@@ -79,7 +79,4 @@ class ThreadPool {
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t threads = 0);
 
-/// True on a shared-pool worker thread, where parallel_for runs serially.
-bool on_pool_worker();
-
 }  // namespace tw

@@ -66,9 +66,8 @@ struct SystemConfig {
   /// also the sharded engine's lockstep quantum. Only modeled when
   /// pcm.geometry.channels > 1.
   Tick xbar_latency = ns(20);
-  /// Pool-thread cap for the parallel channel phase (0 = all available).
-  /// Never affects results — same-seed runs are bit-identical at any
-  /// value — so it is excluded from config_hash.
+  /// Accepted and ignored: the sharded engine runs every channel on the
+  /// calling thread. Excluded from config_hash.
   u32 sim_threads = 0;
   /// Safety cap on simulated time; a run that exceeds it is marked
   /// incomplete rather than hanging.

@@ -333,9 +333,8 @@ std::vector<Knob> build_table() {
       ns_row("xbar.latency_ns", TW_FIELD(xbar_latency),
              "XBar hop latency, also the sharded engine's lockstep quantum"),
       uint_row("sys.sim_threads", TW_FIELD(sim_threads),
-               "upper bound on pool threads for the channel phase (0 = all; "
-               "the engine runs a window on the calling thread when that "
-               "measured cheaper; no effect on results)")
+               "accepted and ignored: the sharded engine runs every "
+               "channel on the calling thread")
           .alias("sim-threads"),
       uint_row("sys.cores", TW_FIELD(cores), "simulated cores").alias("cores"),
       uint_row("sys.instructions", TW_FIELD(instructions_per_core),

@@ -72,8 +72,8 @@ class MemorySystem : public MemoryInterface {
   /// registry: channels == 1 registers stats there directly; channels > 1
   /// uses per-channel registries folded in by merge_stats().
   /// `xbar_latency` is both the modeled XBar hop latency and the sharded
-  /// quantum; `sim_threads` caps pool threads for the channel phase (0 =
-  /// all).
+  /// quantum; `sim_threads` is accepted and ignored (the channel phase
+  /// runs on the calling thread, see ShardedEngine).
   /// `dram` optionally fronts every channel with a DramTier absorbing
   /// hot lines before the PCM write path; the default (disabled) keeps
   /// every code path bit-identical to a system without the tier.
@@ -109,9 +109,6 @@ class MemorySystem : public MemoryInterface {
   /// controller registers in the main registry directly).
   stats::Registry* channel_registry(u32 c) { return chans_[c].reg.get(); }
 
-  /// The sharded engine (nullptr for channels == 1).
-  const sim::ShardedEngine* engine() const { return engine_.get(); }
-
   /// True when the DRAM front tier is active.
   bool dram_active() const { return dram_on_; }
   /// Channel c's DRAM tier (nullptr when the tier is disabled).
@@ -125,8 +122,8 @@ class MemorySystem : public MemoryInterface {
   void merge_stats();
 
   /// Pre-create one ring per domain (front first, then channels in
-  /// order) and bind them to the engine, so trace bytes are identical at
-  /// every thread count. No-op for channels == 1 (the plain Attach path
+  /// order) and bind them to the engine, so trace bytes follow domain
+  /// order. No-op for channels == 1 (the plain Attach path
   /// applies). Call before run().
   void bind_trace(trace::Tracer& tracer);
 

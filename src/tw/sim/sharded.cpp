@@ -1,50 +1,19 @@
 #include "tw/sim/sharded.hpp"
 
 #include <algorithm>
-#include <chrono>
-
-#include "tw/common/parallel.hpp"
 
 namespace tw::sim {
 
 void ShardedEngine::run_domain(u32 di, Tick limit) {
   Domain& d = domains_[di];
   // Install the domain's ring for the duration of the quantum so records
-  // land deterministically regardless of which pool thread runs it. An
-  // unbound domain emits nothing (ring == nullptr gates every category).
+  // land in the domain's own ring. An unbound domain emits nothing
+  // (ring == nullptr gates every category).
   const trace::ThreadState saved = trace::g_tls;
   trace::g_tls.ring = d.ring;
   trace::g_tls.mask = d.ring != nullptr ? d.mask : 0;
   d.sim->run(limit);
   trace::g_tls = saved;
-}
-
-bool ShardedEngine::use_pool() const {
-  if (threads_ == 1 || on_pool_worker()) return false;
-  // Measure each placement once before comparing the two.
-  if (inline_.windows == 0) return false;
-  if (pool_.windows == 0) return true;
-  const bool probe = (inline_.windows + pool_.windows) % kProbeEvery == 0;
-  return (pool_.mean_ns < inline_.mean_ns) != probe;
-}
-
-void ShardedEngine::run_channels(Tick wend) {
-  using WallClock = std::chrono::steady_clock;
-  const u32 n = domain_count();
-  const bool pool = use_pool();
-  const WallClock::time_point t0 = WallClock::now();
-  if (pool) {
-    // The pool barrier inside parallel_for orders the channels' writes
-    // before the caller's drain.
-    parallel_for(
-        n - 1,
-        [&](std::size_t i) { run_domain(static_cast<u32>(i) + 1, wend); },
-        threads_);
-  } else {
-    for (u32 d = 1; d < n; ++d) run_domain(d, wend);
-  }
-  const std::chrono::duration<double, std::nano> took = WallClock::now() - t0;
-  (pool ? pool_ : inline_).add(took.count());
 }
 
 void ShardedEngine::fire_message(u32 dst, u32 slot) {
@@ -96,10 +65,10 @@ u64 ShardedEngine::run(Tick limit) {
 
     // Phase 1: the front domain, serially on the calling thread.
     run_domain(0, wend);
-    // Phase 2: channel domains, inline or on the pool (run_channels).
-    if (n > 1) run_channels(wend);
-    // Phase 3: serial barrier. Outboxes drain in fixed source order, so
-    // destination sequence numbers are identical at every thread count.
+    // Phase 2: channel domains, in domain order on the same thread.
+    for (u32 d = 1; d < n; ++d) run_domain(d, wend);
+    // Phase 3: barrier. Outboxes drain in fixed source order, so
+    // destination sequence numbers never depend on domain run order.
     // Every fire tick is >= wstart + quantum > wend, hence >= dst.now().
     for (u32 s = 0; s < n; ++s) {
       for (Pending& p : domains_[s].outbox) deliver(p);

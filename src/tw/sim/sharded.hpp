@@ -3,8 +3,7 @@
 // lockstep through aligned time-quanta, with cross-domain interaction
 // carried by latency-Q messages. Domain 0 is the serial front (CPU cores,
 // caches, the XBar routing logic); domains 1..C are the per-channel
-// memory controllers, run on the calling thread or concurrently on the
-// shared ThreadPool, whichever has measured cheaper.
+// memory controllers, run one after another on the calling thread.
 //
 // Determinism argument (conservative parallel DES with lookahead):
 // the quantum width equals the XBar latency Q. A message posted while
@@ -13,22 +12,17 @@
 // inside a window can affect any other domain in the same window. The
 // execution order of domains within a window is therefore irrelevant,
 // and the serial barrier drains outboxes in fixed source order (0..C),
-// assigning destination-simulator sequence numbers identically at every
-// thread count. Same seed => bit-identical events, metrics and traces.
+// assigning destination-simulator sequence numbers in a fixed order.
+// Same seed => bit-identical events, metrics and traces.
 //
-// Phase-2 placement: a window holds only a handful of events, so handing
-// the channels to the pool (mutex, condvar wake, barrier) can cost more
-// than running them inline. The engine times every window's channel phase
-// and keeps a running mean per placement; each window runs the cheaper
-// way and every kProbeEvery-th window the other way, so the estimate
-// follows the host and the pool path keeps being exercised. Placement
-// never reaches results (see above): only wall time depends on it.
+// Why the channel phase runs serially: a 20 ns window holds about a dozen
+// events, and handing the channels to a thread pool (mutex, condvar wake,
+// barrier) cost more wall time per window than the channels' work.
 //
 // Trace binding: each domain can be bound to a pre-created TraceRing;
 // the engine installs it into the thread-local emission state around the
-// domain's quantum, so records land in the same ring no matter which
-// pool thread ran the domain (rings are collected in creation order,
-// keeping trace bytes thread-count-independent).
+// domain's quantum, so each domain's records land in its own ring (rings
+// are collected in creation order, keeping trace bytes in domain order).
 
 #include <vector>
 
@@ -46,15 +40,9 @@ class ShardedEngine {
   /// event itself only captures {engine, domain, slot}.
   using Message = BasicInlineFunction<64, true>;
 
-  /// Every kProbeEvery-th window runs its channel phase the way that has
-  /// measured dearer.
-  static constexpr u64 kProbeEvery = 64;
-
   /// quantum: window width in ticks == modeled XBar latency (>= 1).
-  /// threads: cap on pool threads for the channel phase (0 = all; 1, or
-  /// a run() issued from a pool worker, keeps every window inline).
-  ShardedEngine(Tick quantum, u32 threads)
-      : quantum_(quantum == 0 ? 1 : quantum), threads_(threads) {}
+  explicit ShardedEngine(Tick quantum)
+      : quantum_(quantum == 0 ? 1 : quantum) {}
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
@@ -98,22 +86,7 @@ class ShardedEngine {
     return n;
   }
 
-  /// Windows whose channel phase ran on the calling thread / on the pool
-  /// since construction (timing-dependent; results never depend on it).
-  u64 inline_windows() const { return inline_.windows; }
-  u64 pool_windows() const { return pool_.windows; }
-
  private:
-  /// Wall cost of one channel-phase placement: an exponential running
-  /// mean (weight 1/8) of its per-window time, seeded by its first window.
-  struct PhaseCost {
-    u64 windows = 0;
-    double mean_ns = 0.0;
-    void add(double ns) {
-      mean_ns = windows == 0 ? ns : mean_ns + (ns - mean_ns) / 8.0;
-      ++windows;
-    }
-  };
   struct Pending {
     u32 dst;
     Tick fire;
@@ -130,17 +103,11 @@ class ShardedEngine {
   };
 
   void run_domain(u32 d, Tick limit);
-  /// Phase 2: run channel domains 1..D-1 to `wend`, inline or on the pool.
-  void run_channels(Tick wend);
-  bool use_pool() const;
   void deliver(Pending& p);
   void fire_message(u32 dst, u32 slot);
 
   std::vector<Domain> domains_;
   Tick quantum_;
-  u32 threads_;
-  PhaseCost inline_;
-  PhaseCost pool_;
 };
 
 }  // namespace tw::sim

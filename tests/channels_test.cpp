@@ -1,9 +1,8 @@
 // Multi-channel topology: address decode per interleave mode, geometry
 // validation with actionable messages, config-file surfacing, stats
 // merging, a small end-to-end MemorySystem run over the sharded engine,
-// and the two wall-time shortcuts of write-saturated runs (inline channel
-// phases, credit-pool retry walks) checked bit for bit against the
-// long way round.
+// and the credit-pool retry walk of write-saturated runs checked bit for
+// bit against the full walk.
 
 #include <gtest/gtest.h>
 
@@ -319,7 +318,7 @@ TEST(MemorySystemSharded, BackpressureSignalsSpaceCallback) {
   EXPECT_TRUE(msys.idle());
 }
 
-// ------------------------------------- channel phase and the retry walk --
+// ------------------------------------------------------- the retry walk --
 
 TEST(MemorySystemSharded, CreditPoolsOnlyWhereRefusalsAreFree) {
   // channel * 2 + is_write behind the XBar; no pools where a refused
@@ -423,13 +422,12 @@ class CountingMemory final : public mem::MemoryInterface {
 
 /// Write-saturated vips/Tetris on 32 cores and 8 channels: the shape of
 /// the write_storm_8ch benchmark workload, at test size.
-harness::SystemConfig write_storm_config(u32 sim_threads) {
+harness::SystemConfig write_storm_config() {
   harness::SystemConfig cfg;
   cfg.cores = 32;
   cfg.instructions_per_core = 20'000;
   cfg.pcm.geometry.channels = 8;
   cfg.batch.max_lines = 4;
-  cfg.sim_threads = sim_threads;
   cfg.seed = 42;
   return cfg;
 }
@@ -438,8 +436,6 @@ struct ShardedRun {
   harness::RunMetrics m;
   std::string trace;  ///< Chrome trace bytes, every domain traced
   u64 trace_records = 0;
-  u64 inline_windows = 0;
-  u64 pool_windows = 0;
 };
 
 /// Run vips/Tetris under `cfg` as harness::run_system does. With `counter`
@@ -477,61 +473,22 @@ ShardedRun run_sharded(const harness::SystemConfig& cfg,
   trace::write_chrome_trace(bytes, records, manifest);
   out.trace = bytes.str();
   out.trace_records = records.size();
-  out.inline_windows = msys->engine()->inline_windows();
-  out.pool_windows = msys->engine()->pool_windows();
   return out;
-}
-
-TEST(MemorySystemSharded, ChannelPhaseRunsInlineAndOnThePool) {
-  // The engine places each window's channel phase where it measured
-  // cheaper and probes the other placement every kProbeEvery-th window,
-  // so a long run uses both; placement must not reach a single bit.
-  const ShardedRun serial = run_sharded(write_storm_config(1));
-  const ShardedRun mixed = run_sharded(write_storm_config(2));
-  ASSERT_TRUE(serial.m.completed);
-  // Write-saturated: some channel's write queue filled up.
-  EXPECT_EQ(serial.m.write_q_peak,
-            write_storm_config(1).controller.write_queue_entries);
-  EXPECT_GT(serial.trace_records, 0u);
-  EXPECT_EQ(serial.pool_windows, 0u);  // sim_threads=1 stays inline
-  EXPECT_GE(mixed.inline_windows + mixed.pool_windows,
-            4 * sim::ShardedEngine::kProbeEvery);
-  EXPECT_GT(mixed.inline_windows, 0u);
-  EXPECT_GT(mixed.pool_windows, 0u);
-  EXPECT_EQ(harness::differing_metrics(serial.m, mixed.m), "");
-  EXPECT_EQ(serial.trace, mixed.trace);
-}
-
-TEST(MemorySystemSharded, DeterminismCellsReachThePoolPath) {
-  // tests/determinism_test.cpp's multi-channel cells (vips/Tetris, 2
-  // cores, 60 k instructions, 8 channels) run under the tsan preset; they
-  // must span enough windows that the pool placement runs more than once
-  // at every thread count they use.
-  for (const u32 threads : {2u, 8u}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    harness::SystemConfig cfg;
-    cfg.cores = 2;
-    cfg.instructions_per_core = 60'000;
-    cfg.seed = 42;
-    cfg.pcm.geometry.channels = 8;
-    cfg.sim_threads = threads;
-    const ShardedRun r = run_sharded(cfg);
-    EXPECT_GE(r.inline_windows + r.pool_windows,
-              sim::ShardedEngine::kProbeEvery);
-    EXPECT_GT(r.pool_windows, 1u);
-  }
 }
 
 TEST(MemorySystemSharded, RetryWalkSkipsPoolsThatRefused) {
   // Credits only rise in a release message, which starts the walk, so a
   // core waiting on a pool that already refused in this walk would be
   // refused again. Skipping it saves the call and changes nothing.
-  const harness::SystemConfig cfg = write_storm_config(1);
+  const harness::SystemConfig cfg = write_storm_config();
   std::optional<CountingMemory> skip;
   std::optional<CountingMemory> full;
   const ShardedRun a = run_sharded(cfg, &skip, /*hide_pools=*/false);
   const ShardedRun b = run_sharded(cfg, &full, /*hide_pools=*/true);
   ASSERT_TRUE(a.m.completed);
+  // Write-saturated: some channel's write queue filled up.
+  EXPECT_EQ(a.m.write_q_peak, cfg.controller.write_queue_entries);
+  EXPECT_GT(a.trace_records, 0u);
   EXPECT_EQ(harness::differing_metrics(a.m, b.m), "");
   EXPECT_EQ(a.trace, b.trace);
 

@@ -177,10 +177,9 @@ harness::RunMetrics run_channel_cell(u32 channels, u32 sim_threads, u64 seed,
 }
 
 TEST(Determinism, ChannelPhaseThreadCountInvariant) {
-  // The sharded engine's three-phase window protocol promises that the
-  // number of pool threads advancing the channel domains never reaches
-  // the results: same seed => bit-identical RunMetrics at every
-  // (channels, sim_threads) point.
+  // sys.sim_threads never reaches the results (the sharded engine runs
+  // every channel on the calling thread): same seed => bit-identical
+  // RunMetrics at every (channels, sim_threads) point.
   for (const u32 channels : {1u, 2u, 8u}) {
     SCOPED_TRACE("channels=" + std::to_string(channels));
     std::vector<harness::RunMetrics> runs;
@@ -212,7 +211,7 @@ TEST(Determinism, TraceBytesInvariantAcrossThreadsAndChannels) {
   // Stronger than metric equality: the collected trace (ring creation
   // order + stable in-ring order + manifest, which deliberately excludes
   // sim_threads from config_hash) must serialize to identical bytes at
-  // every pool-thread count.
+  // every sim_threads value.
   for (const u32 channels : {1u, 8u}) {
     SCOPED_TRACE("channels=" + std::to_string(channels));
     std::string baseline;
@@ -235,7 +234,7 @@ TEST(Determinism, TraceBytesInvariantAcrossThreadsAndChannels) {
         baseline = bytes;
       } else {
         EXPECT_EQ(baseline, bytes)
-            << "trace bytes drifted with the pool-thread count";
+            << "trace bytes drifted with sim_threads";
       }
     }
   }
