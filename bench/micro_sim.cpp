@@ -8,11 +8,14 @@
 //     the kernel ever sees: pure queue + dispatch cost);
 //   * capture chains — the same chains but each callback carries a 40-byte
 //     payload it folds into a sink, exercising the inline-callback
-//     small-buffer move/invoke path the memory controller relies on.
+//     small-buffer move/invoke path the memory controller relies on;
+//   * sparse chains  — two chains 100-900 ns apart that peek next_tick()
+//     before each reschedule: the shape of an idle channel domain, whose
+//     wheel is mostly empty buckets between events.
 //
-// Prints events/sec for both and (with --json) records the combined
-// baseline to BENCH_kernel.json so future PRs can track the kernel's
-// throughput trajectory.
+// Prints events/sec for all three and (with --json) records the combined
+// noop + capture baseline to BENCH_kernel.json so future PRs can track
+// the kernel's throughput trajectory. The sparse flavor is printed only.
 
 #include <algorithm>
 #include <array>
@@ -87,6 +90,36 @@ u64 run_capture_chains(u64 total_events, u32 chains, u64 seed,
     Step first{&states[c], &sink,
                {states[c].rng.next(), states[c].rng.next(), u64{c}}};
     sim.schedule_in(1 + (states[c].rng.next() & 0x3FF), first);
+  }
+  sim.run();
+  *sink_out = sink;
+  return sim.executed();
+}
+
+/// Two chains with 100-900 ns delays; each event peeks next_tick() before
+/// rescheduling, as the sharded engine peeks an idle channel's kernel.
+u64 run_sparse_chains(u64 total_events, u64 seed, u64* sink_out) {
+  constexpr u32 kChains = 2;
+  sim::Simulator sim;
+  std::vector<ChainState> states(kChains);
+  u64 sink = 0;
+  for (u32 c = 0; c < kChains; ++c) {
+    states[c].sim = &sim;
+    states[c].rng = SplitMix64(seed * 77 + c);
+    states[c].remaining = total_events / kChains;
+  }
+  struct Step {
+    ChainState* s;
+    u64* sink;
+    void operator()() const {
+      *sink += s->sim->next_tick();
+      if (--s->remaining == 0) return;
+      s->sim->schedule_in(100'000 + s->rng.next() % 800'001, Step{s, sink});
+    }
+  };
+  for (u32 c = 0; c < kChains; ++c) {
+    sim.schedule_in(100'000 + states[c].rng.next() % 800'001,
+                    Step{&states[c], &sink});
   }
   sim.run();
   *sink_out = sink;
@@ -204,11 +237,19 @@ int main(int argc, char** argv) {
   std::printf("capture chains: %10.1f ms  %12.0f events/sec  (sink %llx)\n",
               ms_cap, eps_cap, static_cast<unsigned long long>(sink));
 
+  tw::bench::WallTimer t_sparse;
+  const u64 fired_sparse = run_sparse_chains(total, o.seed, &sink);
+  const double ms_sparse = t_sparse.elapsed_ms();
+  std::printf("sparse chains:  %10.1f ms  %12.0f events/sec  (2 chains)\n",
+              ms_sparse,
+              static_cast<double>(fired_sparse) / (ms_sparse / 1000.0));
+
   const double total_ms = ms_noop + ms_cap;
   const double eps_all = static_cast<double>(fired_noop + fired_cap) /
                          (total_ms / 1000.0);
-  std::printf("combined:       %10.1f ms  %12.0f events/sec\n", total_ms,
-              eps_all);
+  std::printf("combined:       %10.1f ms  %12.0f events/sec  (noop + "
+              "capture)\n",
+              total_ms, eps_all);
 
   double overhead_pct = -1.0;
   if (o.has("trace-overhead")) {

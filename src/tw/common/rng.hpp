@@ -61,17 +61,24 @@ constexpr u64 small_mod(u64 r, u64 bound) {
 
 }  // namespace rng_detail
 
+/// SplitMix64's state increment (the golden-ratio "gamma").
+inline constexpr u64 kSplitMixGamma = 0x9E3779B97F4A7C15ull;
+
+/// SplitMix64's output function of a state. Draw k (1-based) of a stream
+/// seeded with s is splitmix_output(s + k * kSplitMixGamma), so any draw
+/// can be computed without the ones before it.
+constexpr u64 splitmix_output(u64 z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64: used for seeding / stream splitting (Steele et al.).
 class SplitMix64 {
  public:
   explicit constexpr SplitMix64(u64 seed) : state_(seed) {}
 
-  constexpr u64 next() {
-    u64 z = (state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
+  constexpr u64 next() { return splitmix_output(state_ += kSplitMixGamma); }
 
  private:
   u64 state_;

@@ -4,7 +4,10 @@
 // Holds the *physical* line state (cell words + flip tags) for every line
 // ever touched. Untouched lines are materialized on first access with
 // deterministic pseudo-random content derived from (seed, line address),
-// so simulations are reproducible regardless of access order.
+// so simulations are reproducible regardless of access order. Unbiased
+// content takes one SplitMix64 draw per cell word; ones-biased content
+// (zero-rich profiles) takes one draw per bit, computed four at a time by
+// the simd::biased_words kernel.
 //
 // Storage is a FlatIndexMap (open-addressing, no per-entry allocation)
 // over a chunked arena of LineBufs: references returned by line() stay
@@ -28,9 +31,9 @@ class DataStore {
   /// `units_per_line`: data units per cache line; `seed` drives the
   /// deterministic first-touch content; `ones_bias` is the probability
   /// that a first-touch cell holds '1' (SET-dominant workloads start
-  /// zero-rich, see WorkloadProfile::initial_ones_fraction).
-  DataStore(u32 units_per_line, u64 seed, double ones_bias = 0.5)
-      : units_(units_per_line), seed_(seed), ones_bias_(ones_bias) {}
+  /// zero-rich, see WorkloadProfile::initial_ones_fraction); it must lie
+  /// in [0, 1].
+  DataStore(u32 units_per_line, u64 seed, double ones_bias = 0.5);
 
   /// Mutable physical state of a line (materialized on first touch).
   /// The reference stays valid for the lifetime of the store.
@@ -73,7 +76,8 @@ class DataStore {
 
   u32 units_;
   u64 seed_;
-  double ones_bias_;
+  bool biased_;    ///< ones_bias != 0.5: one draw per bit, not per word
+  u64 threshold_;  ///< a biased draw <= this makes the bit '1'
   const void* decoder_ctx_ = nullptr;
   Decoder decoder_fn_ = nullptr;
   FlatIndexMap index_;

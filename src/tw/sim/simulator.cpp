@@ -32,6 +32,7 @@ void Simulator::bucket_insert(EventNode* n, u32 b) {
   n->next = buckets_[b];
   buckets_[b] = n;
   bucket_bits_[b >> 6] |= u64{1} << (b & 63);
+  summary_bits_[b >> 12] |= u64{1} << ((b >> 6) & 63);
 }
 
 void Simulator::insert(EventNode* n) {
@@ -48,20 +49,41 @@ void Simulator::insert(EventNode* n) {
   }
 }
 
-u32 Simulator::find_set_offset(u32 start, u32 span) const {
-  u32 off = 0;
-  while (off < span) {
-    const u32 idx = (start + off) & kBucketMask;
-    const u32 bit = idx & 63;
-    const u64 w = bucket_bits_[idx >> 6] >> bit;
-    const u32 avail = std::min(64 - bit, span - off);
-    if (w != 0) {
-      const u32 tz = static_cast<u32>(std::countr_zero(w));
-      if (tz < avail) return off + tz;
-    }
-    off += avail;
+u32 Simulator::next_word_offset(u32 word) const {
+  // Circular scan of the 256-bit summary: the summary word holding bit
+  // `word` from that bit on, the other three whole, then the first one
+  // again (its bits below `word`: the wrap).
+  const u32 s = word >> 6;
+  const u32 bit = word & 63;
+  if (const u64 w = summary_bits_[s] >> bit; w != 0) {
+    return static_cast<u32>(std::countr_zero(w));
   }
-  return span;
+  u32 off = 64 - bit;
+  for (u32 k = 1; k <= kSummaryWords; ++k, off += 64) {
+    if (const u64 w = summary_bits_[(s + k) & (kSummaryWords - 1)]; w != 0) {
+      return off + static_cast<u32>(std::countr_zero(w));
+    }
+  }
+  return kBitmapWords;
+}
+
+u32 Simulator::find_set_offset(u32 start, u32 span) const {
+  // The bucket word holding `start`, from `start` on.
+  const u32 bit = start & 63;
+  if (const u64 w = bucket_bits_[start >> 6] >> bit; w != 0) {
+    const u32 tz = static_cast<u32>(std::countr_zero(w));
+    return tz < span ? tz : span;
+  }
+  // Then the first nonempty word after it, found through the summary.
+  const u32 head = 64 - bit;
+  if (head >= span) return span;
+  const u32 word = ((start >> 6) + 1) & (kBitmapWords - 1);
+  const u32 skip = next_word_offset(word);
+  if (skip == kBitmapWords) return span;
+  const u32 off = head + skip * 64 +
+                  static_cast<u32>(std::countr_zero(
+                      bucket_bits_[(word + skip) & (kBitmapWords - 1)]));
+  return off < span ? off : span;
 }
 
 void Simulator::migrate_far() {
@@ -132,7 +154,11 @@ Simulator::EventNode* Simulator::pop_earliest(Tick limit) {
           best_prev->next = best->next;
         }
         if (buckets_[b] == nullptr) {
-          bucket_bits_[b >> 6] &= ~(u64{1} << (b & 63));
+          u64& word = bucket_bits_[b >> 6];
+          word &= ~(u64{1} << (b & 63));
+          if (word == 0) {
+            summary_bits_[b >> 12] &= ~(u64{1} << ((b >> 6) & 63));
+          }
         }
         --pending_;
         return best;
@@ -224,6 +250,7 @@ void Simulator::clear() {
     }
   }
   bucket_bits_.fill(0);
+  summary_bits_.fill(0);
   EventNode* n = far_;
   far_ = nullptr;
   far_min_tick_ = kTickMax;

@@ -14,7 +14,11 @@
 //   * the pending set is a two-level calendar queue: a 16384-bucket wheel
 //     (64-tick-wide buckets, ~1 µs horizon — wider than Tset, so every
 //     device-timing event hits the wheel) plus an overflow list for
-//     events beyond the horizon, migrated in when the wheel drains.
+//     events beyond the horizon, migrated in when the wheel drains;
+//   * finding the next event is O(1): one bit per bucket, and a 256-bit
+//     summary with one bit per nonempty 64-bucket word, so a lookup
+//     reads at most 7 words even on an empty or sparse wheel (an idle
+//     channel domain peeked every window).
 //
 // Ordering guarantee: events fire in strictly increasing
 // (tick, priority, insertion-sequence) order regardless of which level
@@ -112,6 +116,8 @@ class Simulator {
   static constexpr u32 kBucketBits = 14;
   static constexpr u32 kNumBuckets = 1u << kBucketBits;
   static constexpr u32 kBucketMask = kNumBuckets - 1;
+  static constexpr u32 kBitmapWords = kNumBuckets / 64;    ///< 256
+  static constexpr u32 kSummaryWords = kBitmapWords / 64;  ///< 4
   static constexpr u32 kChunkNodes = 128;  ///< pool growth granularity
 
   struct EventNode {
@@ -132,15 +138,21 @@ class Simulator {
   /// Move far-list events whose day entered the wheel window into buckets.
   void migrate_far();
   /// First set bucket at circular offset in [0, span) from `start`, or
-  /// `span` when none.
+  /// `span` when none. Reads at most two bucket words and five summary
+  /// words, however far away the next event is.
   u32 find_set_offset(u32 start, u32 span) const;
+  /// Circular distance, in bitmap words, from `word` to the first nonempty
+  /// one (`word` itself included), or kBitmapWords when the wheel is empty.
+  u32 next_word_offset(u32 word) const;
   void fire(EventNode* n);
 
   // Level 1: the wheel. One unsorted intrusive list per bucket; every
   // node in a bucket shares the same "day" (tick >> kWidthShift), so the
   // first nonempty bucket at or after now holds the earliest events.
   std::array<EventNode*, kNumBuckets> buckets_{};
-  std::array<u64, kNumBuckets / 64> bucket_bits_{};
+  std::array<u64, kBitmapWords> bucket_bits_{};
+  /// Summary over bucket_bits_: bit w set iff bucket_bits_[w] != 0.
+  std::array<u64, kSummaryWords> summary_bits_{};
   u64 wheel_base_day_ = 0;  ///< wheel window covers [base, base + 16384) days
   u64 min_day_hint_ = 0;    ///< no pending wheel event has day < hint
 

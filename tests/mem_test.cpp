@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tw/common/assert.hpp"
 #include "tw/common/rng.hpp"
 #include "tw/core/factory.hpp"
 #include "tw/mem/controller.hpp"
@@ -85,6 +86,21 @@ TEST(DataStore, OnesBiasShapesContent) {
   const double total = 100.0 * 8 * 64;
   EXPECT_NEAR(ones_rich / total, 0.8, 0.02);
   EXPECT_NEAR(ones_poor / total, 0.2, 0.02);
+}
+
+TEST(DataStore, RejectsBiasOutsideUnitInterval) {
+  EXPECT_THROW(DataStore(8, 1, -0.01), ContractViolation);
+  EXPECT_THROW(DataStore(8, 1, 1.01), ContractViolation);
+  // Bias 1 is legal: every first-touch cell is all ones.
+  DataStore ones(8, 1, 1.0);
+  for (Addr a = 0; a < 64 * 16; a += 64) {
+    for (u32 i = 0; i < 8; ++i) EXPECT_EQ(ones.line(a).cell(i), ~u64{0});
+  }
+  // Bias 0 keeps only draws equal to 0: in practice all zeros.
+  DataStore zeros(8, 1, 0.0);
+  for (Addr a = 0; a < 64 * 16; a += 64) {
+    for (u32 i = 0; i < 8; ++i) EXPECT_EQ(zeros.line(a).cell(i), 0u);
+  }
 }
 
 TEST(DataStore, LogicalViewHonorsTags) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
+#include <set>
 #include <vector>
 
 #include "tw/common/assert.hpp"
+#include "tw/common/rng.hpp"
 #include "tw/sim/simulator.hpp"
 
 namespace tw::sim {
@@ -108,6 +111,159 @@ TEST(Simulator, ZeroDelayEventRunsAtCurrentTick) {
   });
   sim.run();
   EXPECT_EQ(seen, 25u);
+}
+
+// ---- Differential: calendar queue vs an ordered reference ---------------
+
+/// Drives a Simulator and a std::multiset ordered by (tick, priority, seq)
+/// through the same operations. Every event that fires must be the
+/// reference's minimum at that moment; pending() and next_tick() must
+/// match the reference after every operation.
+class ReferenceQueue {
+ public:
+  static constexpr Tick kHorizon = Tick{16384} * 64;  ///< wheel span, ps
+
+  Simulator& sim() { return sim_; }
+  u64 fired() const { return fired_; }
+
+  void schedule(Tick at, Priority prio) {
+    const u64 seq = seq_++;
+    ref_.insert({at, static_cast<u8>(prio), seq});
+    sim_.schedule_at(at, [this, seq] { on_fire(seq); }, prio);
+  }
+
+  void step() {
+    const bool had = !ref_.empty();
+    EXPECT_EQ(sim_.step(), had);
+  }
+
+  void run(Tick limit) {
+    const Tick before = sim_.now();
+    const u64 fired_before = fired_;
+    const u64 n = sim_.run(limit);
+    EXPECT_EQ(n, fired_ - fired_before);
+    if (!ref_.empty()) {
+      EXPECT_GT(ref_.begin()->tick, limit);
+    }
+    if (limit != kTickMax) {
+      EXPECT_EQ(sim_.now(), std::max(before, limit));
+    }
+  }
+
+  void clear() {
+    sim_.clear();
+    ref_.clear();
+  }
+
+  void check_peek() const {
+    ASSERT_EQ(sim_.pending(), ref_.size());
+    ASSERT_EQ(sim_.next_tick(),
+              ref_.empty() ? kTickMax : ref_.begin()->tick);
+  }
+
+ private:
+  struct Key {
+    Tick tick;
+    u8 prio;
+    u64 seq;
+    auto operator<=>(const Key&) const = default;
+  };
+
+  void on_fire(u64 seq) {
+    ASSERT_FALSE(ref_.empty());
+    const Key want = *ref_.begin();
+    ASSERT_EQ(seq, want.seq);
+    ASSERT_EQ(sim_.now(), want.tick);
+    ref_.erase(ref_.begin());
+    ++fired_;
+    // Every fifth event schedules a child from its own callback, as the
+    // components do (zero delay and same-bucket ticks included).
+    if (seq % 5 == 0) {
+      schedule(sim_.now() + (seq * 7919) % 3000, Priority(seq % 4));
+    }
+  }
+
+  Simulator sim_;
+  std::multiset<Key> ref_;
+  u64 seq_ = 0;
+  u64 fired_ = 0;
+};
+
+TEST(Simulator, RandomScheduleMatchesReferenceQueue) {
+  constexpr Tick kSpan = 4'000'000;  // 4 us: wheel and far list both
+  ReferenceQueue q;
+  Simulator& sim = q.sim();
+  Rng rng(0xCA1E0DA5ull);
+  std::vector<Tick> recent;  // earlier ticks, reused for exact ties
+  auto random_tick = [&] {
+    const Tick now = sim.now();
+    switch (rng.below(4)) {
+      case 0:
+        if (!recent.empty()) {
+          const Tick t = recent[rng.below(recent.size())];
+          if (t >= now) return t;
+        }
+        return now;
+      case 1: return now + rng.below(256);  // same and adjacent buckets
+      case 2: return now + rng.below(ReferenceQueue::kHorizon);
+      default: return now + rng.below(kSpan + 1);
+    }
+  };
+  auto schedule_random = [&] {
+    const Tick t = random_tick();
+    q.schedule(t, Priority(rng.below(4)));
+    recent.push_back(t);
+    if (recent.size() > 16) recent.erase(recent.begin());
+  };
+
+  for (int op = 0; op < 200'000 && !HasFailure(); ++op) {
+    const u64 r = rng.below(1000);
+    if (r < 450) {
+      schedule_random();
+    } else if (r < 650) {
+      q.step();
+    } else if (r < 990) {
+      q.run(sim.now() + rng.below(2'000'000));
+    } else if (r < 995) {
+      q.run(kTickMax);
+    } else {
+      q.clear();
+    }
+    q.check_peek();
+  }
+  EXPECT_GT(q.fired(), 50'000u);
+  EXPECT_GT(sim.now(), 100 * ReferenceQueue::kHorizon);  // many revolutions
+
+  // An empty wheel with far events waiting: only ticks past the horizon.
+  q.clear();
+  for (int i = 0; i < 50 && !HasFailure(); ++i) {
+    q.schedule(sim.now() + ReferenceQueue::kHorizon + rng.below(kSpan),
+               Priority(rng.below(4)));
+    q.check_peek();
+  }
+  while (sim.pending() > 0 && !HasFailure()) {
+    q.step();
+    q.check_peek();
+  }
+
+  // A window that straddles the 16384-bucket wrap: clear() re-bases the
+  // wheel 100 buckets before a multiple of 16384 days, and events land on
+  // both sides of bucket index 0.
+  q.run((sim.now() / ReferenceQueue::kHorizon + 3) * ReferenceQueue::kHorizon -
+        100 * 64);
+  q.clear();
+  const Tick wrap = (sim.now() / ReferenceQueue::kHorizon + 1) *
+                    ReferenceQueue::kHorizon;
+  for (int i = 0; i < 400 && !HasFailure(); ++i) {
+    const Tick t = wrap - 64 * 100 + rng.below(64 * 200);
+    q.schedule(std::max(t, sim.now()), Priority(rng.below(4)));
+    q.check_peek();
+  }
+  while (sim.pending() > 0 && !HasFailure()) {
+    q.run(sim.now() + rng.below(64 * 8));
+    q.check_peek();
+  }
+  EXPECT_GT(sim.now(), wrap);
 }
 
 // ----------------------------------------------------------------- clock --

@@ -17,6 +17,7 @@
 #include "tw/common/simd.hpp"
 #include "tw/core/packer.hpp"
 #include "tw/core/read_stage.hpp"
+#include "tw/mem/data_store.hpp"
 #include "tw/pcm/line.hpp"
 #include "tw/schemes/prep.hpp"
 
@@ -352,6 +353,70 @@ TEST(SimdPacker, FullPipelineMatchesReferenceTwentyThousandLines) {
         schemes::apply_plans(line, {r.plans.data(), r.plans.size()});
       }
     }
+  }
+}
+
+// ---- First-touch content -------------------------------------------------
+
+TEST(SimdPacker, BiasedWordsKernelMatchesScalar) {
+  // The scalar kernel against its definition (one SplitMix64 draw per
+  // bit, counter-addressed), and the AVX2 kernel against the scalar one,
+  // at every unit count, >= 20k seeds, and the threshold edges.
+  std::vector<u64> thresholds = {0, 1, u64{1} << 63, ~u64{0}};
+  for (int pct = 30; pct <= 50; pct += 5) {
+    thresholds.push_back(
+        static_cast<u64>(pct / 100.0 * 18446744073709551615.0));
+  }
+  Rng rng(0xB1A5ull);
+  u64 scalar[pcm::kMaxUnitsPerLine];
+  u64 avx2[pcm::kMaxUnitsPerLine];
+  for (int trial = 0; trial < 20'000; ++trial) {
+    const u64 seed = rng.next();
+    const u32 units = 1 + static_cast<u32>(trial % pcm::kMaxUnitsPerLine);
+    const u64 threshold = trial % 3 == 0
+                              ? rng.next()
+                              : thresholds[rng.below(thresholds.size())];
+    simd::biased_words_scalar(seed, units, threshold, scalar);
+    if (trial % 64 == 0) {
+      for (u32 i = 0; i < units; ++i) {
+        u64 want = 0;
+        for (u32 b = 0; b < 64; ++b) {
+          const u64 draw =
+              splitmix_output(seed + (64 * u64{i} + b + 1) * kSplitMixGamma);
+          want |= u64{draw <= threshold} << b;
+        }
+        ASSERT_EQ(scalar[i], want) << "trial " << trial << " word " << i;
+      }
+    }
+    if (threshold == ~u64{0}) {
+      for (u32 i = 0; i < units; ++i) ASSERT_EQ(scalar[i], ~u64{0});
+    }
+    if (!simd::avx2_supported()) continue;
+    simd::biased_words_avx2(seed, units, threshold, avx2);
+    for (u32 i = 0; i < units; ++i) {
+      ASSERT_EQ(avx2[i], scalar[i])
+          << "trial " << trial << " units " << units << " word " << i;
+    }
+  }
+}
+
+TEST(SimdPacker, BiasedFirstTouchContentLocked) {
+  // DataStore's zero-rich first-touch content at every SIMD level. The
+  // hash was recorded with the per-bit scalar loop that predates the
+  // biased_words kernel, so a mismatch means the content changed.
+  LevelGuard guard;
+  for (const simd::Level level : levels_under_test()) {
+    simd::set_level(level);
+    SCOPED_TRACE(simd::level_name(level));
+    mem::DataStore store(8, 42, 0.35);
+    u64 h = 0x243F6A8885A308D3ull;
+    for (Addr line = 0; line < 1000; ++line) {
+      const pcm::LineBuf& buf = store.line(line * 64);
+      for (u32 u = 0; u < buf.units(); ++u) {
+        h = SplitMix64(h ^ buf.cell(u)).next();
+      }
+    }
+    EXPECT_EQ(h, 0x5E76FBD9B0A9DD4Full);
   }
 }
 
