@@ -108,7 +108,7 @@ MixResult run_mix(u32 depth, double write_frac, bool strict_drain,
   return res;
 }
 
-/// Single-component micro timings kept from the google-benchmark version.
+/// Single-component micro timings: Start-Gap map and data-store touch.
 void run_component_micros() {
   {
     mem::StartGapConfig cfg;

@@ -24,7 +24,9 @@
 // always-on three-way differential). --json writes the BENCH_packer.json
 // baseline gated by cmake/check_bench.py (events_per_sec = 32-unit
 // single-line count+pack/s at the best level; sim_writes_per_sec = batch
-// lines/s).
+// lines/s). A last printed row times Tetris plan_write with its schedule
+// self-check on (the TW_VERIFY=1 path); it is informational only, with
+// no JSON field or gate.
 
 #include <cstdint>
 #include <iostream>
@@ -36,6 +38,7 @@
 #include "tw/common/rng.hpp"
 #include "tw/common/simd.hpp"
 #include "tw/core/batch_packer.hpp"
+#include "tw/core/factory.hpp"
 #include "tw/core/packer.hpp"
 #include "tw/core/read_stage.hpp"
 #include "tw/pcm/line.hpp"
@@ -187,6 +190,24 @@ PathResult run_batch(const LinePairs& w, const pcm::PcmConfig& cfg,
   return res;
 }
 
+/// Tetris plan_write lines/s with the schedule self-check on, over one
+/// sweep of `w` (each write plans against a fresh copy of its line).
+double run_self_check(const LinePairs& w, const pcm::PcmConfig& cfg) {
+  core::TetrisOptions opts;
+  opts.self_check = true;
+  const auto scheme =
+      core::make_scheme(schemes::SchemeKind::kTetris, cfg, opts);
+  u64 sink = 0;
+  bench::WallTimer timer;
+  for (std::size_t i = 0; i < w.lines.size(); ++i) {
+    pcm::LineBuf work = w.lines[i];
+    sink += scheme->plan_write(work, w.datas[i]).latency;
+  }
+  const double secs = timer.elapsed_ms() / 1000.0;
+  if (sink == 0) std::cerr << "(zero-latency plans)\n";
+  return static_cast<double>(w.lines.size()) / (secs > 0 ? secs : 1e-9);
+}
+
 core::PackerConfig packer_config(const pcm::PcmConfig& cfg) {
   core::PackerConfig pcfg;
   pcfg.k = cfg.k();
@@ -294,6 +315,8 @@ int main(int argc, char** argv) {
             << "x lines/s; scalar fallback 8u " << fixed(scalar_8u, 2)
             << "x, 32u " << fixed(scalar_32u, 2)
             << "x (floor 0.95x); bit-identical schedules\n";
+  std::cout << "tetris plan_write with self-check (TW_VERIFY=1 path): "
+            << fixed(run_self_check(w, cfg), 0) << " lines/s\n";
 
   if (!o.json_path.empty()) {
     bench::BenchBaseline b;

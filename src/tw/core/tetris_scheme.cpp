@@ -118,31 +118,26 @@ schemes::ServicePlan TetrisScheme::plan_write(
 schemes::BatchServicePlan TetrisScheme::plan_write_batch(
     std::span<pcm::LineBuf*> lines,
     std::span<const pcm::LogicalLine> datas) const {
-  TW_EXPECTS(lines.size() == datas.size());
-  TW_EXPECTS(!lines.empty());
-  const PackerConfig pcfg = make_packer_config();
-  const BatchPackOutcome joint =
-      BatchPacker(cfg_, batch_packer_options())
-          .pack_lines(lines, datas, pcfg);
-  return finish_batch(joint, lines, pcfg);
+  return plan_batch(lines, datas, std::nullopt);
 }
 
 schemes::BatchServicePlan TetrisScheme::plan_write_batch(
     std::span<pcm::LineBuf*> lines,
     std::span<const pcm::LogicalLine> datas,
     std::span<const u32> partitions) const {
+  return plan_batch(lines, datas, partitions);
+}
+
+schemes::BatchServicePlan TetrisScheme::plan_batch(
+    std::span<pcm::LineBuf*> lines, std::span<const pcm::LogicalLine> datas,
+    std::optional<std::span<const u32>> partitions) const {
   TW_EXPECTS(lines.size() == datas.size());
   TW_EXPECTS(!lines.empty());
   const PackerConfig pcfg = make_packer_config();
+  const BatchPacker packer(cfg_, batch_packer_options());
   const BatchPackOutcome joint =
-      BatchPacker(cfg_, batch_packer_options())
-          .pack_lines(lines, datas, pcfg, partitions);
-  return finish_batch(joint, lines, pcfg);
-}
-
-schemes::BatchServicePlan TetrisScheme::finish_batch(
-    const BatchPackOutcome& joint, std::span<pcm::LineBuf*> lines,
-    const PackerConfig& pcfg) const {
+      partitions ? packer.pack_lines(lines, datas, pcfg, *partitions)
+                 : packer.pack_lines(lines, datas, pcfg);
   if (trace::on<trace::Category::kFsm>()) {
     (void)execute_fsms(joint.pack, pcfg, cfg_.timing);
   }

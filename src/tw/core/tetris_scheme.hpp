@@ -7,6 +7,7 @@
 // the 400 MHz memory bus clock (102.5 ns), charged on every write.
 
 #include <memory>
+#include <optional>
 
 #include "tw/core/batch_packer.hpp"
 #include "tw/core/packer.hpp"
@@ -94,11 +95,12 @@ class TetrisScheme final : public schemes::WriteScheme {
   PackerConfig make_packer_config() const;
   BatchPackerOptions batch_packer_options() const;
 
-  /// Shared tail of both batch overloads: price the joint schedule and
-  /// apply per-line plans.
-  schemes::BatchServicePlan finish_batch(const BatchPackOutcome& joint,
-                                         std::span<pcm::LineBuf*> lines,
-                                         const PackerConfig& pcfg) const;
+  /// Body of both batch overloads: pack the lines jointly (recording
+  /// the partition spread when `partitions` is given), price the joint
+  /// schedule and apply per-line plans.
+  schemes::BatchServicePlan plan_batch(
+      std::span<pcm::LineBuf*> lines, std::span<const pcm::LogicalLine> datas,
+      std::optional<std::span<const u32>> partitions) const;
 
   /// Packing inputs for one line's read-stage result, with the non-GCP
   /// worst-chip scaling applied and unit ids offset by `unit_base`

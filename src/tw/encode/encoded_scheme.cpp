@@ -84,26 +84,18 @@ schemes::ServicePlan EncodedScheme::plan_write(
 schemes::BatchServicePlan EncodedScheme::plan_write_batch(
     std::span<pcm::LineBuf*> lines,
     std::span<const pcm::LogicalLine> datas) const {
-  TW_EXPECTS(lines.size() == datas.size());
-  InlineVec<pcm::LogicalLine, kBatchInline> coded;
-  InlineVec<MetaArray, kBatchInline> metas;
-  coded.resize_uninitialized(datas.size());
-  metas.resize_uninitialized(datas.size());
-  for (std::size_t k = 0; k < datas.size(); ++k) {
-    coded.data()[k] = pcm::LogicalLine(datas[k].units());
-    encode_line(*lines[k], datas[k], coded.data()[k], metas.data()[k].data());
-  }
-  schemes::BatchServicePlan batch = inner_->plan_write_batch(
-      lines, {coded.data(), coded.size()});
-  for (std::size_t k = 0; k < datas.size(); ++k) {
-    finish_line(*lines[k], batch.per_line[k], metas.data()[k].data());
-  }
-  return batch;
+  return plan_batch(lines, datas, std::nullopt);
 }
 
 schemes::BatchServicePlan EncodedScheme::plan_write_batch(
     std::span<pcm::LineBuf*> lines, std::span<const pcm::LogicalLine> datas,
     std::span<const u32> partitions) const {
+  return plan_batch(lines, datas, partitions);
+}
+
+schemes::BatchServicePlan EncodedScheme::plan_batch(
+    std::span<pcm::LineBuf*> lines, std::span<const pcm::LogicalLine> datas,
+    std::optional<std::span<const u32>> partitions) const {
   TW_EXPECTS(lines.size() == datas.size());
   InlineVec<pcm::LogicalLine, kBatchInline> coded;
   InlineVec<MetaArray, kBatchInline> metas;
@@ -113,8 +105,10 @@ schemes::BatchServicePlan EncodedScheme::plan_write_batch(
     coded.data()[k] = pcm::LogicalLine(datas[k].units());
     encode_line(*lines[k], datas[k], coded.data()[k], metas.data()[k].data());
   }
-  schemes::BatchServicePlan batch = inner_->plan_write_batch(
-      lines, {coded.data(), coded.size()}, partitions);
+  const std::span<const pcm::LogicalLine> cs{coded.data(), coded.size()};
+  schemes::BatchServicePlan batch =
+      partitions ? inner_->plan_write_batch(lines, cs, *partitions)
+                 : inner_->plan_write_batch(lines, cs);
   for (std::size_t k = 0; k < datas.size(); ++k) {
     finish_line(*lines[k], batch.per_line[k], metas.data()[k].data());
   }

@@ -13,6 +13,7 @@
 // re-encodes to the identical coded image.
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "tw/encode/encoder.hpp"
@@ -63,6 +64,13 @@ class EncodedScheme final : public schemes::WriteScheme {
   /// Stage the coded image of `next` over `line` into `coded`/`metas`.
   void encode_line(const pcm::LineBuf& line, const pcm::LogicalLine& next,
                    pcm::LogicalLine& coded, u8* metas) const;
+
+  /// Body of both batch overloads: stage every line's coded image, hand
+  /// the batch to the inner scheme's matching overload (the partition-
+  /// aware one when `partitions` is given), then persist the tags.
+  schemes::BatchServicePlan plan_batch(
+      std::span<pcm::LineBuf*> lines, std::span<const pcm::LogicalLine> datas,
+      std::optional<std::span<const u32>> partitions) const;
 
   /// Price + persist the staged tags after the inner scheme planned the
   /// coded write, and fill in the plan's encoder stats.

@@ -1,10 +1,12 @@
 #include "tw/mem/controller.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "tw/common/assert.hpp"
 #include "tw/common/bits.hpp"
+#include "tw/common/env.hpp"
 #include "tw/common/inline_vec.hpp"
 #include "tw/trace/emit.hpp"
 
@@ -72,11 +74,11 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
       subs_with_reads_((map_.total_subarrays() + 63) / 64, 0),
       banks_with_writes_((map_.total_banks() + 63) / 64, 0),
       open_row_(map_.total_banks()),
-      active_write_(map_.total_banks()),
+      in_service_(map_.total_banks()),
       paused_write_(map_.total_banks()),
       bank_epoch_(map_.total_banks(), 0),
-      palp_active_(map_.total_banks()),
       palp_on_(cfg.palp.enabled && pcm_cfg.geometry.subarrays_per_bank > 1),
+      verify_palp_(palp_on_ && verify_env_enabled()),
       c_reads_(registry.counter("mem.reads")),
       c_writes_(registry.counter("mem.writes")),
       c_forwarded_(registry.counter("mem.reads_forwarded")),
@@ -123,9 +125,7 @@ Controller::Controller(sim::Simulator& sim, const pcm::PcmConfig& pcm_cfg,
   }
   read_ready_.reserve(map_.total_subarrays());
   pause_askers_.reserve(map_.total_banks());
-  if (palp_on_) {
-    for (auto& v : palp_active_) v.reserve(cfg_.palp.write_ways);
-  }
+  for (auto& v : in_service_) v.reserve(palp_on_ ? cfg_.palp.write_ways : 1);
 }
 
 // -- Node plumbing --------------------------------------------------------
@@ -633,17 +633,25 @@ void Controller::note_stuck_remap(const Placement& at) {
   }
 }
 
-double Controller::begin_plan_scope(Tick now) {
-  if (fault_ == nullptr) return 1.0;
-  const double factor = fault_->budget_factor(now);
-  if (factor != 1.0) {
-    scheme_.set_budget_scale(factor);
-    c_brownout_writes_.inc();
-    if (trace::on<kFaultCat>()) {
-      trace::emit_instant(kFaultCat, trace::Op::kBrownoutWrite, fault_track(cfg_.track_base),
-                          now, scheme_.effective_budget(),
-                          pcm_.bank_power_budget());
-    }
+double Controller::begin_plan_scope(Tick now, u32 ways) {
+  // A PALP partition write plans against its share of the pump. ways is
+  // the nominal divisor even when brown-out shrinks the admission
+  // allowance, so the worst-case concurrent draw stays within
+  // factor * budget. Dividing by 1.0 is exact, so single writers see the
+  // plain brown-out factor.
+  double factor = 1.0;
+  if (fault_ != nullptr) {
+    factor = fault_->budget_factor(now);
+    if (factor != 1.0) c_brownout_writes_.inc();
+  }
+  const bool brownout = factor != 1.0;
+  factor /= static_cast<double>(ways);
+  if (factor != 1.0) scheme_.set_budget_scale(factor);
+  if (brownout && trace::on<kFaultCat>()) {
+    trace::emit_instant(kFaultCat, trace::Op::kBrownoutWrite,
+                        fault_track(cfg_.track_base), now,
+                        scheme_.effective_budget(),
+                        pcm_.bank_power_budget());
   }
   return factor;
 }
@@ -690,48 +698,14 @@ void Controller::note_palp_stall(u32 bank, Tick now) {
   }
 }
 
-double Controller::begin_palp_plan_scope(Tick now) {
-  // A partition write plans against its share of the pump: the brown-out
-  // factor (if any) divided across the configured write ways. write_ways
-  // is the nominal divisor even when brown-out shrinks the admission
-  // allowance, so the worst-case concurrent draw stays within
-  // factor * budget.
-  double factor = 1.0;
-  if (fault_ != nullptr) {
-    factor = fault_->budget_factor(now);
-    if (factor != 1.0) c_brownout_writes_.inc();
+void Controller::check_palp_admission(u32 bank) const {
+  if (!verify_palp_) return;
+  const std::string err = pumps_[bank].admission_error(
+      cfg_.palp.write_ways, cfg_.palp.max_rww_reads);
+  if (!err.empty()) {
+    TW_FAIL(("PALP admission on bank " + std::to_string(bank) + ": " + err)
+                .c_str());
   }
-  const bool brownout = factor != 1.0;
-  factor /= static_cast<double>(cfg_.palp.write_ways);
-  if (factor != 1.0) scheme_.set_budget_scale(factor);
-  if (brownout && trace::on<kFaultCat>()) {
-    trace::emit_instant(kFaultCat, trace::Op::kBrownoutWrite,
-                        fault_track(cfg_.track_base), now,
-                        scheme_.effective_budget(),
-                        pcm_.bank_power_budget());
-  }
-  return factor;
-}
-
-void Controller::complete_palp_write(u32 bank, u64 epoch) {
-  auto& live = palp_active_[bank];
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live[i].epoch != epoch) continue;
-    MemoryRequest req = std::move(live[i].req);
-    const Tick service = live[i].service;
-    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-    pumps_[bank].end_write();
-    --inflight_;
-    if (trace::on<kCat>()) {
-      trace::emit_instant(kCat, trace::Op::kWriteComplete,
-                          bank_track(cfg_.track_base, bank), sim_.now(),
-                          req.id, service);
-    }
-    finish_write(req);
-    schedule_dispatch();
-    return;
-  }
-  TW_FAIL("PALP completion epoch not found");
 }
 
 Tick Controller::account_write(const Placement& at,
@@ -815,6 +789,7 @@ void Controller::issue_read(u32 id) {
   if (palp_on_ && pumps_[bank].loaded()) {
     rww = true;
     pumps_[bank].begin_rww_read();
+    check_palp_admission(bank);
     c_palp_overlap_reads_.inc();
     if (trace::on<kPalpCat>()) {
       trace::emit_instant(kPalpCat, trace::Op::kPalpReadOverlap,
@@ -868,7 +843,7 @@ void Controller::issue_write(u32 id) {
     // divides the budget across the pump's write ways, since other
     // partitions may start drawing while this write is in flight.
     const double bscale =
-        palp_on_ ? begin_palp_plan_scope(now) : begin_plan_scope(now);
+        begin_plan_scope(now, palp_on_ ? cfg_.palp.write_ways : 1);
     const schemes::ServicePlan plan = scheme_.plan_write(line, req.data);
     service = plan.latency + account_write(at, plan, now);
     end_plan_scope(bscale);
@@ -877,66 +852,41 @@ void Controller::issue_write(u32 id) {
 
   if (palp_on_) {
     // Partition write: the bank interval may overlap other partitions'
-    // writes (the pump admitted this way); completion is keyed by epoch
-    // in the per-bank in-flight list instead of the single active slot.
+    // writes (the pump admitted this way).
     banks_[bank].occupy_overlapping(now, service);
-    subarrays_[subarray].occupy(now, service);
-    ++inflight_;
-    pcm::ChargePump& pump = pumps_[bank];
-    const bool overlapped = pump.active_writes() > 0;
-    pump.begin_write();
-    if (overlapped) c_palp_write_overlaps_.inc();
-    if (trace::on<kCat>()) {
-      trace::emit_span(kCat, trace::Op::kWriteService,
-                       bank_track(cfg_.track_base, bank), now, service,
-                       req.id);
-    }
-    if (trace::on<kPalpCat>()) {
-      trace::emit_span(kPalpCat, trace::Op::kPalpWriteSpan,
-                       palp_track(cfg_.track_base, bank), now, service,
-                       subarray);
-      if (overlapped) {
-        trace::emit_instant(kPalpCat, trace::Op::kPalpWriteOverlap,
-                            palp_track(cfg_.track_base, bank), now, req.id,
-                            pump.active_writes());
-      }
-    }
-    const u64 epoch = ++bank_epoch_[bank];
-    PalpWrite pw;
-    pw.req = std::move(req);
-    pw.epoch = epoch;
-    pw.service = service;
-    pw.subarray = subarray;
-    palp_active_[bank].push_back(std::move(pw));
-    sim_.schedule_in(
-        service, [this, bank, epoch] { complete_palp_write(bank, epoch); },
-        sim::Priority::kDeviceComplete);
-    if (const auto move = remap_.on_write(logical)) apply_gap_move(*move);
-    return;
+  } else {
+    banks_[bank].occupy(now, service);
   }
-
-  banks_[bank].occupy(now, service);
   subarrays_[subarray].occupy(now, service);
   ++inflight_;
+  bool overlapped = false;
+  if (palp_on_) {
+    pcm::ChargePump& pump = pumps_[bank];
+    overlapped = pump.active_writes() > 0;
+    pump.begin_write();
+    if (overlapped) c_palp_write_overlaps_.inc();
+    check_palp_admission(bank);
+  }
   if (trace::on<kCat>()) {
-    trace::emit_span(kCat, trace::Op::kWriteService, bank_track(cfg_.track_base, bank), now,
-                     service, req.id);
+    trace::emit_span(kCat, trace::Op::kWriteService,
+                     bank_track(cfg_.track_base, bank), now, service, req.id);
+  }
+  if (palp_on_ && trace::on<kPalpCat>()) {
+    trace::emit_span(kPalpCat, trace::Op::kPalpWriteSpan,
+                     palp_track(cfg_.track_base, bank), now, service,
+                     subarray);
+    if (overlapped) {
+      trace::emit_instant(kPalpCat, trace::Op::kPalpWriteOverlap,
+                          palp_track(cfg_.track_base, bank), now, req.id,
+                          pumps_[bank].active_writes());
+    }
   }
 
-  TW_ASSERT(!active_write_[bank].has_value());
-  const u64 epoch = ++bank_epoch_[bank];
-  ActiveWrite active;
-  active.req = std::move(req);
-  active.start = now;
-  active.end = now + service;
-  active.epoch = epoch;
-  active.service = service;
-  active.subarray = subarray;
-  active_write_[bank] = std::move(active);
-
-  sim_.schedule_in(
-      service, [this, bank, epoch] { complete_write(bank, epoch); },
-      sim::Priority::kDeviceComplete);
+  TW_ASSERT(palp_on_ || in_service_[bank].empty());
+  start_service(bank, {.req = std::move(req),
+                       .start = now,
+                       .end = now + service,
+                       .subarray = subarray});
   if (const auto move = remap_.on_write(logical)) apply_gap_move(*move);
 }
 
@@ -1029,6 +979,7 @@ void Controller::issue_write_batch(u32 head) {
     // A full-budget batch owns the pump until it completes: partition
     // writes and capped reads both see loaded() for its duration.
     pumps_[bank].begin_exclusive();
+    check_palp_admission(bank);
     a_palp_batch_spread_.add(static_cast<double>(spread));
     if (trace::on<kPalpCat>()) {
       trace::emit_instant(kPalpCat, trace::Op::kPalpBatchSpread,
@@ -1090,48 +1041,67 @@ void Controller::apply_gap_move(const Relocation& r) {
   relocate_queued(r);
 }
 
-void Controller::complete_write(u32 bank, u64 epoch) {
-  auto& active = active_write_[bank];
-  if (!active.has_value() || active->epoch != epoch) return;
+void Controller::start_service(u32 bank, InService w) {
+  w.epoch = ++bank_epoch_[bank];
+  const u64 epoch = w.epoch;
+  const Tick service = w.end - w.start;
+  in_service_[bank].push_back(std::move(w));
+  sim_.schedule_in(
+      service, [this, bank, epoch] { complete_write(bank, epoch); },
+      sim::Priority::kDeviceComplete);
+}
 
-  MemoryRequest req = std::move(active->req);
-  if (trace::on<kCat>()) {
-    trace::emit_instant(kCat, trace::Op::kWriteComplete, bank_track(cfg_.track_base, bank),
-                        sim_.now(), req.id, active->service);
+void Controller::complete_write(u32 bank, u64 epoch) {
+  std::vector<InService>& live = in_service_[bank];
+  const auto it = std::find_if(live.begin(), live.end(),
+                               [&](const InService& w) {
+                                 return w.epoch == epoch;
+                               });
+  if (it == live.end()) {
+    TW_ASSERT(cfg_.write_pausing);  // only a pause supersedes an epoch
+    return;
   }
-  active.reset();
+  MemoryRequest req = std::move(it->req);
+  const Tick service = it->end - it->start;
+  live.erase(it);
+  if (palp_on_) pumps_[bank].end_write();
   --inflight_;
+  if (trace::on<kCat>()) {
+    trace::emit_instant(kCat, trace::Op::kWriteComplete,
+                        bank_track(cfg_.track_base, bank), sim_.now(), req.id,
+                        service);
+  }
   finish_write(req);
   schedule_dispatch();
 }
 
 bool Controller::try_pause(u32 bank, u32 wanted_subarray) {
-  auto& active = active_write_[bank];
-  if (!active.has_value() || paused_write_[bank].has_value()) return false;
-  if (active->subarray != wanted_subarray) return false;
-  if (banks_[bank].free_at() != active->end) return false;
-  if (subarrays_[active->subarray].free_at() != active->end) return false;
+  // Pausing excludes PALP, so a bank has at most one write in service.
+  std::vector<InService>& live = in_service_[bank];
+  if (live.empty() || paused_write_[bank].has_value()) return false;
+  InService& active = live.front();
+  if (active.subarray != wanted_subarray) return false;
+  if (banks_[bank].free_at() != active.end) return false;
+  if (subarrays_[active.subarray].free_at() != active.end) return false;
 
   const Tick now = sim_.now();
-  const Tick elapsed = now - active->start;
+  const Tick elapsed = now - active.start;
   const Tick boundary =
-      active->start +
-      ceil_div(elapsed, cfg_.pause_quantum) * cfg_.pause_quantum;
-  if (boundary >= active->end) return false;
+      active.start + ceil_div(elapsed, cfg_.pause_quantum) * cfg_.pause_quantum;
+  if (boundary >= active.end) return false;
 
   banks_[bank].preempt(boundary);
-  subarrays_[active->subarray].preempt(boundary);
+  subarrays_[active.subarray].preempt(boundary);
   if (trace::on<kCat>()) {
-    trace::emit_instant(kCat, trace::Op::kWritePause, bank_track(cfg_.track_base, bank),
-                        boundary, active->req.id, active->end - boundary);
+    trace::emit_instant(kCat, trace::Op::kWritePause,
+                        bank_track(cfg_.track_base, bank), boundary,
+                        active.req.id, active.end - boundary);
   }
-  PausedWrite paused;
-  paused.req = std::move(active->req);
-  paused.remaining = active->end - boundary;
-  paused.subarray = active->subarray;
-  paused_write_[bank] = std::move(paused);
-  active.reset();
-  ++bank_epoch_[bank];
+  // The record moves aside with [boundary, end) = the service still owed;
+  // its pending completion event no longer finds its epoch.
+  active.start = boundary;
+  paused_write_[bank] = std::move(active);
+  live.clear();
   ++paused_count_;
   c_pauses_.inc();
 
@@ -1143,29 +1113,21 @@ bool Controller::try_pause(u32 bank, u32 wanted_subarray) {
 void Controller::resume_paused(u32 bank) {
   TW_ASSERT(paused_write_[bank].has_value());
   const Tick now = sim_.now();
-  PausedWrite paused = std::move(*paused_write_[bank]);
+  InService w = std::move(*paused_write_[bank]);
   paused_write_[bank].reset();
   --paused_count_;
 
-  banks_[bank].occupy(now, paused.remaining);
-  subarrays_[paused.subarray].occupy(now, paused.remaining);
+  const Tick remaining = w.end - w.start;
+  banks_[bank].occupy(now, remaining);
+  subarrays_[w.subarray].occupy(now, remaining);
   if (trace::on<kCat>()) {
-    trace::emit_instant(kCat, trace::Op::kWriteResume, bank_track(cfg_.track_base, bank), now,
-                        paused.req.id, paused.remaining);
+    trace::emit_instant(kCat, trace::Op::kWriteResume,
+                        bank_track(cfg_.track_base, bank), now, w.req.id,
+                        remaining);
   }
-  const u64 epoch = ++bank_epoch_[bank];
-  ActiveWrite active;
-  active.req = std::move(paused.req);
-  active.start = now;
-  active.end = now + paused.remaining;
-  active.epoch = epoch;
-  active.service = paused.remaining;
-  active.subarray = paused.subarray;
-  active_write_[bank] = std::move(active);
-  sim_.schedule_in(
-      paused.remaining,
-      [this, bank, epoch] { complete_write(bank, epoch); },
-      sim::Priority::kDeviceComplete);
+  w.start = now;
+  w.end = now + remaining;
+  start_service(bank, std::move(w));
 }
 
 void Controller::notify_space() {

@@ -37,6 +37,13 @@
 //    once no reads are waiting there;
 //  * Start-Gap wear leveling (ref [5]): logical lines rotate through
 //    physical slots; gap movements cost an internal migration write.
+//
+// A single write in service is one InService record on its bank's list:
+// one entry at most, or up to palp.write_ways concurrent partition writes
+// under PALP. Every start (issue or resume) gives the record a fresh
+// epoch that keys its completion event; a pause moves the record aside,
+// so the superseded event finds no epoch and is ignored. Batches own the
+// bank (and under PALP the pump) through their own completion event.
 
 #include <functional>
 #include <memory>
@@ -219,29 +226,16 @@ class Controller : public MemoryInterface {
   using AgeList = IndexList<ReqNode, &ReqNode::by_age>;
   using BucketList = IndexList<ReqNode, &ReqNode::by_bucket>;
 
-  /// Bookkeeping for a write currently occupying a bank (pausing).
-  struct ActiveWrite {
+  /// A single write in service on a bank: issued, resumed after a pause,
+  /// or (under PALP) one of several partition writes sharing the pump.
+  /// Its completion event is keyed by `epoch`; a paused write keeps the
+  /// same record with [start, end) holding the service still owed.
+  struct InService {
     MemoryRequest req;
     Tick start = 0;
     Tick end = 0;
     u64 epoch = 0;
-    Tick service = 0;   ///< full service time of this write
-    u32 subarray = 0;   ///< flat subarray the write is programming
-  };
-  /// A write paused mid-service awaiting resumption.
-  struct PausedWrite {
-    MemoryRequest req;
-    Tick remaining = 0;
-    u32 subarray = 0;
-  };
-  /// One partition write in flight under PALP (several may share a bank,
-  /// so the single active_write_ slot does not apply; epochs key the
-  /// completion events).
-  struct PalpWrite {
-    MemoryRequest req;
-    u64 epoch = 0;
-    Tick service = 0;
-    u32 subarray = 0;
+    u32 subarray = 0;  ///< flat subarray the write is programming
   };
   /// Last row activated in a bank (closed-row PCM locality stats).
   struct OpenRow {
@@ -287,8 +281,12 @@ class Controller : public MemoryInterface {
   void issue_read(u32 id);
   void issue_write(u32 id);
   void issue_write_batch(u32 head);
+  /// Start (or resume) `w` on `bank` now: give it a fresh epoch, record it
+  /// in service and schedule its completion at w.end.
+  void start_service(u32 bank, InService w);
+  /// Completion event of the write with `epoch`. An epoch not in service
+  /// belongs to a write that a pause superseded; it is ignored.
   void complete_write(u32 bank, u64 epoch);
-  void complete_palp_write(u32 bank, u64 epoch);
 
   // PALP admission. Allowances shrink inside charge-pump brown-out
   // windows (the fault ladder's budget factor scales concurrency the
@@ -301,9 +299,10 @@ class Controller : public MemoryInterface {
   bool bank_ready_for_write(u32 bank, Tick now) const;
   /// Count + trace a read held back by the read-after-write-current cap.
   void note_palp_stall(u32 bank, Tick now);
-  /// Plan scope for a PALP partition write: the brown-out factor divided
-  /// across the pump's write ways. Ended with end_plan_scope().
-  double begin_palp_plan_scope(Tick now);
+  /// Under TW_VERIFY=1, fail if `bank`'s pump state breaks the nominal
+  /// write-way or read-after-write-current caps (pcm::ChargePump::
+  /// admission_error). Called after every pump admission.
+  void check_palp_admission(u32 bank) const;
   bool try_pause(u32 bank, u32 wanted_subarray);
   void resume_paused(u32 bank);
   /// Flip drain mode, emitting a trace record on every transition.
@@ -313,11 +312,13 @@ class Controller : public MemoryInterface {
   void apply_gap_move(const Relocation& r);
   /// Count + trace a service redirected off a stuck bank (issue paths).
   void note_stuck_remap(const Placement& at);
-  /// Brown-out handling around a scheme plan call: shrink the scheme's
-  /// budget for writes planned inside a brown-out window. Returns the
-  /// factor applied; pass it to end_plan_scope() after the plan (and any
-  /// fault pricing that must see the same budget) completes.
-  double begin_plan_scope(Tick now);
+  /// Budget scope around a scheme plan call: the scheme plans against
+  /// the brown-out factor (1 outside a brown-out window) divided across
+  /// `ways` concurrent writers — a PALP partition write passes
+  /// palp.write_ways, everything else 1. Returns the scale applied; pass
+  /// it to end_plan_scope() after the plan (and any fault pricing that
+  /// must see the same budget) completes.
+  double begin_plan_scope(Tick now, u32 ways = 1);
   void end_plan_scope(double factor);
   /// Account one planned line write: counters, energy, wear, fault
   /// pricing (inside the caller's plan scope) and the open row. Returns
@@ -377,21 +378,22 @@ class Controller : public MemoryInterface {
   u32 read_q_peak_ = 0;
   u32 write_q_peak_ = 0;
 
-  // Write pausing state, indexed by flat bank id.
-  std::vector<std::optional<ActiveWrite>> active_write_;
-  std::vector<std::optional<PausedWrite>> paused_write_;
+  /// Writes in service, per flat bank: at most one outside PALP, at most
+  /// palp.write_ways under it (reserved up front, so issue never
+  /// allocates).
+  std::vector<std::vector<InService>> in_service_;
+  /// Write pausing: the paused write of each bank, awaiting resumption.
+  std::vector<std::optional<InService>> paused_write_;
   std::vector<u64> bank_epoch_;
   u32 paused_count_ = 0;  ///< banks with a paused write (O(1) idle check)
 
-  /// PALP: concurrent partition writes in flight, per flat bank. Live
-  /// only when palp_on_ (legacy mode keeps the single active_write_
-  /// slot); bounded by palp.write_ways entries per bank.
-  std::vector<std::vector<PalpWrite>> palp_active_;
   /// cfg_.palp.enabled gated on a multi-partition geometry: with one
   /// subarray per bank there is nothing to overlap, and forcing the
   /// legacy path keeps partitions=1 runs bit-identical whatever the
   /// palp.* knobs say.
   bool palp_on_ = false;
+  /// palp_on_ and TW_VERIFY=1: re-check every pump admission.
+  bool verify_palp_ = false;
 
   // In-flight read results staged by slot: completion callbacks capture
   // one u32 instead of a full MemoryRequest, keeping them inside the

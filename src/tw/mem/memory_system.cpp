@@ -67,7 +67,7 @@ MemorySystem::MemorySystem(sim::Simulator& front_sim,
 
       // Channel-side wiring (runs in the channel's domain): completions
       // ride latency-Q messages back to the front, releasing their credit
-      // there; queue space drains the delivery backlog locally.
+      // there. No space callback: credits guarantee queue room (deliver).
       ch.ctl->set_read_callback([this, c](const MemoryRequest& req) {
         engine_->post(c + 1, 0, sim::Priority::kDeviceComplete,
                       sim::ShardedEngine::Message([this, c, r = req] {
@@ -82,7 +82,6 @@ MemorySystem::MemorySystem(sim::Simulator& front_sim,
                         front_write_complete(c, r);
                       }));
       });
-      ch.ctl->set_space_callback([this, c] { drain_backlog(c); });
     }
   }
 
@@ -205,7 +204,7 @@ void MemorySystem::set_space_callback(SpaceCallback cb) {
 
 bool MemorySystem::idle() const {
   for (const Channel& ch : chans_) {
-    if (!ch.ctl->idle() || !ch.backlog.empty()) return false;
+    if (!ch.ctl->idle()) return false;
     if (channels_ > 1 && (ch.credits.read != rq_entries_ ||
                           ch.credits.write != wq_entries_)) {
       return false;  // requests or completions still in flight
@@ -256,43 +255,20 @@ void MemorySystem::bind_trace(trace::Tracer& tracer) {
 }
 
 void MemorySystem::deliver(u32 c, MemoryRequest req) {
-  Channel& ch = chans_[c];
-  if (!ch.backlog.empty()) {
-    // Preserve arrival order behind requests already waiting.
-    ch.backlog.push_back(std::move(req));
-    return;
-  }
-  try_deliver(c, std::move(req));
-}
-
-void MemorySystem::try_deliver(u32 c, MemoryRequest req) {
-  Channel& ch = chans_[c];
+  // Every queued request holds a credit (see the header), so a credited
+  // delivery always finds room; a refusal means the accounting drifted.
+  Controller& ctl = *chans_[c].ctl;
   const bool is_write = req.is_write();
-  const u32 depth_before = ch.ctl->write_queue_depth();
-  // enqueue takes its argument by value; passing the lvalue copies, so a
-  // refusal leaves `req` intact for the backlog.
-  if (!ch.ctl->enqueue(req)) {
-    ch.backlog.push_back(std::move(req));
-    return;
+  const u32 depth_before = ctl.write_queue_depth();
+  if (!ctl.enqueue(std::move(req))) {
+    TW_FAIL(("channel " + std::to_string(c) + " refused a credited " +
+             (is_write ? "write" : "read") + " (credit accounting drifted)")
+                .c_str());
   }
-  if (is_write && ch.ctl->write_queue_depth() == depth_before) {
+  if (is_write && ctl.write_queue_depth() == depth_before) {
     // Coalesced into a queued same-line write: no completion will ever
     // fire for this request, so hand its credit back now.
     post_credit(c, true);
-  }
-}
-
-void MemorySystem::drain_backlog(u32 c) {
-  Channel& ch = chans_[c];
-  while (!ch.backlog.empty()) {
-    MemoryRequest& req = ch.backlog.front();
-    const bool is_write = req.is_write();
-    const u32 depth_before = ch.ctl->write_queue_depth();
-    if (!ch.ctl->enqueue(req)) return;  // still full; keep order, wait
-    ch.backlog.pop_front();
-    if (is_write && ch.ctl->write_queue_depth() == depth_before) {
-      post_credit(c, true);
-    }
   }
 }
 

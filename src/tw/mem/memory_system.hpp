@@ -27,16 +27,17 @@
 //     release message arrives, so a refused pool stays refused until the
 //     next space callback. Passthrough (channels == 1) and the DRAM tier
 //     promise no pools;
-//   * a per-channel backlog FIFO absorbs any delivery the controller
-//     refuses (robustness against credit/queue drift, e.g. transient
-//     full windows); it drains on the channel's own space callback.
+//   * a credit is held until its completion (or coalesce release) reaches
+//     the front, one XBar hop after the request left the controller
+//     queue, so every queued request holds a credit and a credited
+//     delivery always finds room. Channel controllers get no space
+//     callback; a refused delivery is a credit-accounting bug and fails.
 //
 // Start-Gap wear leveling composes only approximately with channels > 1
 // (a controller's remap permutes line addresses within its own address
 // space, which is self-consistent but no longer round-trips through the
 // global channel decode); golden and determinism configs keep it off.
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -141,13 +142,11 @@ class MemorySystem : public MemoryInterface {
     std::unique_ptr<schemes::WriteScheme> scheme;
     std::unique_ptr<fault::FaultModel> fmodel;
     std::unique_ptr<Controller> ctl;
-    std::deque<MemoryRequest> backlog;
     Credits credits;
   };
 
+  /// Hand a credited request to channel c's controller (channel domain).
   void deliver(u32 c, MemoryRequest req);
-  void try_deliver(u32 c, MemoryRequest req);
-  void drain_backlog(u32 c);
   void post_credit(u32 c, bool is_write);
   void release_credit(u32 c, bool is_write);
   /// Completion dispatch on the front domain: routes through the DRAM

@@ -12,6 +12,8 @@
 // fault model; the pump only answers "what is running right now" and
 // keeps the overlap/stall statistics the benches and gauges report.
 
+#include <string>
+
 #include "tw/common/assert.hpp"
 #include "tw/common/types.hpp"
 
@@ -73,6 +75,31 @@ class ChargePump {
   void end_rww_read() {
     TW_EXPECTS(rww_ > 0);
     --rww_;
+  }
+
+  /// The admission invariant: empty when the current state honors at
+  /// most `write_ways` concurrent partition writes, at most `rww_cap`
+  /// reads against a loaded pump and no partition write beside an
+  /// exclusive batch; otherwise names the first broken cap. The
+  /// controller (under TW_VERIFY=1) and verify::InvariantMonitor share
+  /// this check.
+  std::string admission_error(u32 write_ways, u32 rww_cap) const {
+    if (exclusive_ && active_ > 0) {
+      return "partition write drawing while an exclusive batch owns the "
+             "pump";
+    }
+    if (active_ > write_ways) {
+      return std::to_string(active_) +
+             " concurrent partition writes exceed the " +
+             std::to_string(write_ways) + "-way pump allowance";
+    }
+    if (loaded() && rww_ > rww_cap) {
+      return std::to_string(rww_) +
+             " reads admitted against a loaded pump exceed the "
+             "read-after-write-current limit of " +
+             std::to_string(rww_cap);
+    }
+    return {};
   }
 
   /// Record a read the RWW cap held back this dispatch round.

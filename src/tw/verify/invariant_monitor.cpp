@@ -253,21 +253,8 @@ void InvariantMonitor::check_palp_admission(const pcm::ChargePump& pump,
                                             u32 write_ways,
                                             u32 rww_allowance) {
   ++stats_.palp_checks;
-  if (pump.exclusive() && pump.active_writes() > 0) {
-    fail("PALP: partition write drawing while an exclusive batch owns "
-         "the pump");
-  }
-  if (pump.active_writes() > write_ways) {
-    fail("PALP: " + std::to_string(pump.active_writes()) +
-         " concurrent partition writes exceed the " +
-         std::to_string(write_ways) + "-way pump allowance");
-  }
-  if (pump.loaded() && pump.rww_reads() > rww_allowance) {
-    fail("PALP: " + std::to_string(pump.rww_reads()) +
-         " reads admitted against a loaded pump exceed the "
-         "read-after-write-current limit of " +
-         std::to_string(rww_allowance));
-  }
+  const std::string err = pump.admission_error(write_ways, rww_allowance);
+  if (!err.empty()) fail("PALP: " + err);
 }
 
 sim::Simulator::Observer InvariantMonitor::sim_hook() {

@@ -83,7 +83,9 @@ class InvariantMonitor final : public core::PulseObserver {
   /// more reads admitted against a loaded pump than `rww_allowance`, or
   /// a partition write drawing while an exclusive full-budget batch owns
   /// the pump. Call with the brown-out-shrunken allowances when checking
-  /// inside a brown-out window.
+  /// inside a brown-out window. The cap check itself is
+  /// pcm::ChargePump::admission_error, which the controller also runs
+  /// after every admission under TW_VERIFY=1.
   void check_palp_admission(const pcm::ChargePump& pump, u32 write_ways,
                             u32 rww_allowance);
 

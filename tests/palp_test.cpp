@@ -128,10 +128,11 @@ struct Harness {
   std::vector<Done> done;
 
   explicit Harness(mem::ControllerConfig ccfg,
-                   const fault::FaultModel* fault = nullptr) {
+                   const fault::FaultModel* fault = nullptr,
+                   schemes::SchemeKind kind = schemes::SchemeKind::kDcw) {
     pcm_cfg = pcm::table2_config();
     pcm_cfg.geometry.subarrays_per_bank = kSubarrays;
-    scheme = core::make_scheme(schemes::SchemeKind::kDcw, pcm_cfg);
+    scheme = core::make_scheme(kind, pcm_cfg);
     ctl.emplace(sim, pcm_cfg, ccfg, *scheme, reg, 1, 0.5, fault);
     ctl->set_read_callback([this](const mem::MemoryRequest& r) {
       done.push_back({'R', r.addr, r.complete_tick});
@@ -242,6 +243,37 @@ TEST(PalpController, WritesOverlapAcrossPartitions) {
   EXPECT_TRUE(h.ctl->idle());
   EXPECT_EQ(h.counter("mem.writes"), 2u);
   EXPECT_GE(h.counter("mem.palp_write_overlaps"), 1u);
+}
+
+TEST(PalpController, OverlappedWritesCompleteOutOfIssueOrder) {
+  // Tetris prices a write by the pulses it needs. The older write flips
+  // every cell of its line (a long burst); the younger one, in another
+  // partition, rewrites its line's current content (silent: read and
+  // analysis only). Both start in the same dispatch, so the later-issued
+  // write completes first.
+  Harness h(palp_config(true, 2, 2), nullptr, schemes::SchemeKind::kTetris);
+  const Addr slow = h.addr_for(0, 0);
+  const Addr fast = h.addr_for(0, 1);
+  const auto enqueue = [&](Addr addr, pcm::LogicalLine data) {
+    mem::MemoryRequest req;
+    req.addr = addr;
+    req.type = mem::ReqType::kWrite;
+    req.data = std::move(data);
+    ASSERT_TRUE(h.ctl->enqueue(std::move(req)));
+  };
+  pcm::LogicalLine flipped = h.ctl->store().read_logical(slow);
+  for (u32 i = 0; i < flipped.units(); ++i) {
+    flipped.set_word(i, ~flipped.word(i));
+  }
+  enqueue(slow, std::move(flipped));
+  enqueue(fast, h.ctl->store().read_logical(fast));
+  h.sim.run();
+
+  EXPECT_EQ(h.counter("mem.writes"), 2u);
+  EXPECT_EQ(h.counter("mem.palp_write_overlaps"), 1u);
+  EXPECT_LT(h.complete_of('W', fast), h.complete_of('W', slow));
+  EXPECT_FALSE(h.ctl->pumps()[0].loaded());
+  EXPECT_TRUE(h.ctl->idle());
 }
 
 TEST(PalpController, SamePartitionWritesSerialize) {
