@@ -8,6 +8,13 @@
 
 namespace tw::cpu {
 
+StallFifo::Queue& StallFifo::of(u32 pool) {
+  if (pool == mem::MemoryInterface::kNoCreditPool) return unpooled_;
+  // Pools are dense ids (MemoryInterface::credit_pool).
+  if (pool >= pools_.size()) pools_.resize(pool + 1);
+  return pools_[pool];
+}
+
 Core::Core(sim::Simulator& sim, u32 id, CoreConfig cfg,
            mem::MemoryInterface& mem, workload::RequestSource& gen,
            u64 instruction_budget, StallFifo& stalled)
@@ -104,8 +111,7 @@ void Core::stall_on_queue() {
   if (state_ == State::kStallQueue) return;
   ++stall_events_;
   state_ = State::kStallQueue;
-  stall_pool_ = ctl_.credit_pool(pending_.addr, pending_.is_write);
-  stalled_.push_back(this);
+  stalled_.push(this, ctl_.credit_pool(pending_.addr, pending_.is_write));
 }
 
 void Core::on_read_complete() {

@@ -12,8 +12,9 @@
 // A write's payload is drawn once, when the request forms (right after
 // the stream hands out the op), and travels with it: an enqueue the
 // controller refuses draws nothing, and the retry sends the same line.
-// Cores stalled on a full queue wait in their owner's stall FIFO and
-// retry oldest stall first whenever queue space frees.
+// Cores stalled on a full queue wait in their owner's stall FIFOs, one
+// per credit pool, and retry oldest stall first when their pool (or, on
+// an anonymous wake, any pool) gets queue space back.
 
 #include <vector>
 
@@ -37,10 +38,39 @@ struct CoreConfig {
 
 class Core;
 
-/// Cores stalled on a full controller queue, oldest stall first. A core
-/// appends itself when it first stalls; its owner removes it once a
-/// retry is accepted.
-using StallFifo = std::vector<Core*>;
+/// Cores stalled on a full memory queue: one FIFO per credit pool
+/// (MemoryInterface::credit_pool) and one for requests in no pool, each
+/// oldest stall first. A stall sequence number orders stalls across the
+/// FIFOs. A core appends itself when it first stalls; its owner removes
+/// it once a retry is accepted. No core stalls anew during a walk (an
+/// accepted retry only schedules its next gap), so the FIFOs neither grow
+/// nor move while a walk holds them.
+class StallFifo {
+ public:
+  struct Entry {
+    u64 seq;  ///< stall order across every FIFO
+    Core* core;
+  };
+  using Queue = std::vector<Entry>;
+
+  /// Append `core`, stalled on `pool`, behind every earlier stall.
+  void push(Core* core, u32 pool) { of(pool).push_back({next_seq_++, core}); }
+
+  /// The FIFO of `pool` (MemoryInterface::kNoCreditPool: no pool).
+  Queue& of(u32 pool);
+
+  /// Every FIFO, the no-pool one last.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (Queue& q : pools_) fn(q);
+    fn(unpooled_);
+  }
+
+ private:
+  std::vector<Queue> pools_;  ///< indexed by credit pool
+  Queue unpooled_;
+  u64 next_seq_ = 0;
+};
 
 /// One simulated core running a fixed instruction budget.
 class Core {
@@ -58,10 +88,6 @@ class Core {
   /// Queue space became available; retry a stalled issue. Returns true
   /// when the core is no longer queue-stalled.
   bool on_queue_space();
-
-  /// The memory's credit pool for the request this core is queue-stalled
-  /// on (MemoryInterface::kNoCreditPool when the memory promises none).
-  u32 stall_pool() const { return stall_pool_; }
 
   bool finished() const { return finished_; }
   Tick finish_tick() const { return finish_tick_; }
@@ -105,7 +131,6 @@ class Core {
   u64 writes_issued_ = 0;
   u64 stall_events_ = 0;
   State state_ = State::kIdle;
-  u32 stall_pool_ = mem::MemoryInterface::kNoCreditPool;
   workload::TraceOp pending_{};
   pcm::LogicalLine pending_data_;  ///< the pending write's payload
   bool has_pending_ = false;

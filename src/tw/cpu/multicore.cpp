@@ -13,7 +13,6 @@ MultiCore::MultiCore(sim::Simulator& sim, CoreConfig cfg, u32 cores,
     : sim_(sim), cfg_(cfg) {
   TW_EXPECTS(cores >= 1);
   cores_.reserve(cores);
-  stalled_.reserve(cores);
   for (u32 c = 0; c < cores; ++c) {
     cores_.push_back(std::make_unique<Core>(sim, c, cfg, mem, gen,
                                             instructions_per_core, stalled_));
@@ -22,29 +21,45 @@ MultiCore::MultiCore(sim::Simulator& sim, CoreConfig cfg, u32 cores,
     TW_ASSERT(req.core < cores_.size());
     cores_[req.core]->on_read_complete();
   });
-  mem.set_space_callback([this] { retry_stalled(); });
+  mem.set_pool_space_callback([this](u32 pool) { retry_stalled(pool); });
 }
 
-void MultiCore::retry_stalled() {
-  // Oldest stall first; a core refused again keeps its place. A pool's
-  // credits never rise during the walk (only a release message, which
-  // fires this callback, adds one), so a core waiting on a pool that
-  // already refused would be refused too: it keeps its place untried.
-  refused_.clear();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < stalled_.size(); ++i) {
-    Core* core = stalled_[i];
-    const u32 pool = core->stall_pool();
-    const bool pooled = pool != mem::MemoryInterface::kNoCreditPool;
-    if (pooled && std::find(refused_.begin(), refused_.end(), pool) !=
-                      refused_.end()) {
-      stalled_[kept++] = core;
-    } else if (!core->on_queue_space()) {
-      stalled_[kept++] = core;
-      if (pooled) refused_.push_back(pool);
+void MultiCore::retry_stalled(u32 pool) {
+  // A pool's credits never rise during a walk (only a release, which
+  // wakes the cores, adds one), so once a pool refuses, its later cores
+  // would be refused too: they keep their places untried.
+  constexpr u32 kNoPool = mem::MemoryInterface::kNoCreditPool;
+  if (pool != kNoPool) {
+    // Only this pool's cores can use the freed space.
+    StallFifo::Queue& q = stalled_.of(pool);
+    std::size_t accepted = 0;
+    while (accepted < q.size() && q[accepted].core->on_queue_space()) {
+      ++accepted;
+    }
+    q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(accepted));
+    return;
+  }
+  // Anonymous: merge the FIFOs on their stall order.
+  const StallFifo::Queue* unpooled = &stalled_.of(kNoPool);
+  walk_.clear();
+  stalled_.for_each([this](StallFifo::Queue& q) {
+    if (!q.empty()) walk_.push_back({&q, 0});
+  });
+  while (!walk_.empty()) {
+    const auto oldest = std::min_element(
+        walk_.begin(), walk_.end(), [](const Cursor& a, const Cursor& b) {
+          return (*a.queue)[a.next].seq < (*b.queue)[b.next].seq;
+        });
+    StallFifo::Queue& q = *oldest->queue;
+    const std::size_t at = oldest->next++;
+    const bool accepted = q[at].core->on_queue_space();
+    if (accepted) q[at].core = nullptr;  // dropped once q leaves the walk
+    if ((!accepted && &q != unpooled) || oldest->next == q.size()) {
+      std::erase_if(q, [](const StallFifo::Entry& e) { return !e.core; });
+      *oldest = walk_.back();
+      walk_.pop_back();
     }
   }
-  stalled_.resize(kept);
 }
 
 void MultiCore::start() {

@@ -34,16 +34,24 @@ class MultiCore {
   u32 core_count() const { return static_cast<u32>(cores_.size()); }
 
  private:
-  /// Retries queue-stalled cores oldest stall first; a refused core
-  /// keeps its place. Once a credit pool refuses, the walk skips the
-  /// later cores waiting on it (MemoryInterface::credit_pool).
-  void retry_stalled();
+  /// A wake for `pool`: retries that pool's stalled cores oldest stall
+  /// first, up to the first refusal. An anonymous wake
+  /// (MemoryInterface::kNoCreditPool) retries every FIFO, oldest stall
+  /// first across them, and a pool's FIFO leaves the walk at its first
+  /// refusal. A refused core keeps its place.
+  void retry_stalled(u32 pool);
+
+  /// A FIFO still open in an anonymous walk and its next untried entry.
+  struct Cursor {
+    StallFifo::Queue* queue;
+    std::size_t next;
+  };
 
   sim::Simulator& sim_;
   CoreConfig cfg_;
   std::vector<std::unique_ptr<Core>> cores_;
   StallFifo stalled_;
-  std::vector<u32> refused_;  ///< credit pools that refused this walk
+  std::vector<Cursor> walk_;  ///< anonymous walk scratch
 };
 
 }  // namespace tw::cpu

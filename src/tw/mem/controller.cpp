@@ -1137,7 +1137,7 @@ void Controller::notify_space() {
       0,
       [this] {
         space_scheduled_ = false;
-        if (on_space_) on_space_();
+        if (on_space_) on_space_(kNoCreditPool);
       },
       sim::Priority::kCpu);
 }

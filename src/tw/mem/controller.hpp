@@ -151,6 +151,7 @@ class Controller : public MemoryInterface {
   using ReadCallback = MemoryInterface::ReadCallback;
   using WriteCallback = MemoryInterface::WriteCallback;
   using SpaceCallback = MemoryInterface::SpaceCallback;
+  using PoolSpaceCallback = MemoryInterface::PoolSpaceCallback;
 
   /// The scheme is shared (not owned); it must outlive the controller.
   /// `ones_bias` seeds the first-touch memory content distribution.
@@ -177,6 +178,10 @@ class Controller : public MemoryInterface {
   }
   /// Invoked whenever queue space frees up.
   void set_space_callback(SpaceCallback cb) override {
+    on_space_ = [cb = std::move(cb)](u32) { cb(); };
+  }
+  /// The same wake, always anonymous: the controller has no credit pools.
+  void set_pool_space_callback(PoolSpaceCallback cb) override {
     on_space_ = std::move(cb);
   }
 
@@ -403,7 +408,7 @@ class Controller : public MemoryInterface {
 
   ReadCallback on_read_;
   WriteCallback on_write_;
-  SpaceCallback on_space_;
+  PoolSpaceCallback on_space_;
 
   // Stats (owned by the registry).
   stats::Counter& c_reads_;

@@ -7,6 +7,7 @@
 // front-side simulation domain.
 
 #include <functional>
+#include <utility>
 
 #include "tw/common/types.hpp"
 #include "tw/mem/data_store.hpp"
@@ -19,6 +20,9 @@ class MemoryInterface {
   using ReadCallback = std::function<void(const MemoryRequest&)>;
   using WriteCallback = std::function<void(const MemoryRequest&)>;
   using SpaceCallback = std::function<void()>;
+  /// A wake naming the credit pool that got space back (kNoCreditPool:
+  /// space may have freed for any request).
+  using PoolSpaceCallback = std::function<void(u32 pool)>;
 
   /// credit_pool() value for a request that belongs to no credit pool.
   static constexpr u32 kNoCreditPool = ~0u;
@@ -26,7 +30,7 @@ class MemoryInterface {
   virtual ~MemoryInterface() = default;
 
   /// Try to accept a request. Returns false when the target queue is full
-  /// (the caller should wait for the space callback and retry).
+  /// (the caller should wait for a space wake and retry).
   virtual bool enqueue(MemoryRequest req) = 0;
 
   /// Invoked when a read's data returns.
@@ -35,17 +39,27 @@ class MemoryInterface {
   virtual void set_write_callback(WriteCallback cb) = 0;
   /// Invoked whenever queue space frees up.
   virtual void set_space_callback(SpaceCallback cb) = 0;
+  /// Invoked whenever queue space frees up, naming the credit pool whose
+  /// space came back (only that pool's requests may now be accepted), or
+  /// kNoCreditPool when any request may now be accepted. Space freed for
+  /// a request outside every pool comes as an anonymous wake. The default
+  /// wraps set_space_callback and reports kNoCreditPool, so a memory (or
+  /// a proxy) that knows nothing of pools still delivers every wake.
+  virtual void set_pool_space_callback(PoolSpaceCallback cb) {
+    set_space_callback([cb = std::move(cb)] { cb(kNoCreditPool); });
+  }
 
   /// True when all queues are empty and all banks idle (quiesced).
   virtual bool idle() const = 0;
 
   /// The credit pool a request for (addr, is_write) draws on, or
-  /// kNoCreditPool. Promise behind a pool: once enqueue() refuses one of
-  /// its requests, it refuses every request of that pool, with no side
-  /// effect beyond the first refusal's, until the space callback next
-  /// fires. A caller retrying stalled requests from that callback may
-  /// therefore skip the rest of a pool that refused. The default promises
-  /// nothing.
+  /// kNoCreditPool. Pools are small dense ids counted from 0. Promise
+  /// behind a pool: once enqueue() refuses one of its requests, it
+  /// refuses every request of that pool, with no side effect beyond the
+  /// first refusal's, until a wake that names that pool or no pool. A
+  /// caller retrying stalled requests from a wake may therefore stop a
+  /// pool's retries at its first refusal, and on a wake that names pool
+  /// P it need retry only P's requests. The default promises nothing.
   virtual u32 credit_pool(Addr /*addr*/, bool /*is_write*/) const {
     return kNoCreditPool;
   }

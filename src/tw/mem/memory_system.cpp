@@ -19,9 +19,7 @@ MemorySystem::MemorySystem(sim::Simulator& front_sim,
     : front_(front_sim),
       main_reg_(registry),
       map_(pcm.geometry),
-      channels_(map_.channels()),
-      rq_entries_(ccfg.read_queue_entries),
-      wq_entries_(ccfg.write_queue_entries) {
+      channels_(map_.channels()) {
   const std::string derr = dram.error(pcm.geometry);
   if (!derr.empty()) throw std::invalid_argument("MemorySystem: " + derr);
   const u32 total_banks = pcm.geometry.banks * pcm.geometry.ranks;
@@ -60,8 +58,8 @@ MemorySystem::MemorySystem(sim::Simulator& front_sim,
       ch.ctl = std::make_unique<Controller>(*ch.sim, pcm, chan_cfg,
                                             *ch.scheme, *ch.reg, seed,
                                             ones_bias, ch.fmodel.get());
-      ch.credits.read = rq_entries_;
-      ch.credits.write = wq_entries_;
+      ch.credits[0].avail = ch.credits[0].cap = ccfg.read_queue_entries;
+      ch.credits[1].avail = ch.credits[1].cap = ccfg.write_queue_entries;
       const u32 domain = engine_->add_domain(*ch.sim);
       TW_ASSERT(domain == c + 1);
 
@@ -113,20 +111,13 @@ void MemorySystem::wire_dram(u32 c, const DramConfig& dram) {
         [this](const MemoryRequest& r) { front_read_complete(0, r); });
     chans_[0].ctl->set_write_callback(
         [this](const MemoryRequest& r) { front_write_complete(0, r); });
-    chans_[0].ctl->set_space_callback([this] {
-      tiers_[0]->on_pcm_space();
-      if (starved_ && tiers_[0]->has_room()) {
-        starved_ = false;
-        if (on_space_) on_space_();
-      }
-    });
+    chans_[0].ctl->set_pool_space_callback([this](u32) { tier_space(0); });
   } else {
     // Miss path consumes a channel credit exactly like a front enqueue
     // did without the tier; DRAM hits never reach this function, which
     // is what keeps them credit-free.
     tier->set_forward([this, c](MemoryRequest& r) {
-      Credits& cr = chans_[c].credits;
-      u32& avail = r.is_write() ? cr.write : cr.read;
+      u32& avail = chans_[c].credits[r.is_write()].avail;
       if (avail == 0) return false;
       --avail;
       engine_->post(0, c + 1, sim::Priority::kController,
@@ -158,18 +149,17 @@ bool MemorySystem::enqueue(MemoryRequest req) {
   if (dram_on_) {
     const u32 c = channels_ == 1 ? 0 : map_.channel_of(req.addr);
     const bool ok = tiers_[c]->enqueue(std::move(req));
-    if (!ok) starved_ = true;
+    if (!ok) tier_starved_ = true;
     return ok;
   }
   if (channels_ == 1) return chans_[0].ctl->enqueue(std::move(req));
   const u32 c = map_.channel_of(req.addr);
-  Credits& cr = chans_[c].credits;
-  u32& avail = req.is_write() ? cr.write : cr.read;
-  if (avail == 0) {
-    starved_ = true;
+  CreditPool& pool = chans_[c].credits[req.is_write()];
+  if (pool.avail == 0) {
+    pool.starved = true;
     return false;
   }
-  --avail;
+  --pool.avail;
   engine_->post(0, c + 1, sim::Priority::kController,
                 sim::ShardedEngine::Message(
                     [this, c, r = std::move(req)]() mutable {
@@ -198,6 +188,14 @@ void MemorySystem::set_space_callback(SpaceCallback cb) {
   if (channels_ == 1 && !dram_on_) {
     chans_[0].ctl->set_space_callback(std::move(cb));
   } else {
+    on_space_ = [cb = std::move(cb)](u32) { cb(); };
+  }
+}
+
+void MemorySystem::set_pool_space_callback(PoolSpaceCallback cb) {
+  if (channels_ == 1 && !dram_on_) {
+    chans_[0].ctl->set_pool_space_callback(std::move(cb));
+  } else {
     on_space_ = std::move(cb);
   }
 }
@@ -205,8 +203,8 @@ void MemorySystem::set_space_callback(SpaceCallback cb) {
 bool MemorySystem::idle() const {
   for (const Channel& ch : chans_) {
     if (!ch.ctl->idle()) return false;
-    if (channels_ > 1 && (ch.credits.read != rq_entries_ ||
-                          ch.credits.write != wq_entries_)) {
+    if (ch.credits[0].avail != ch.credits[0].cap ||
+        ch.credits[1].avail != ch.credits[1].cap) {
       return false;  // requests or completions still in flight
     }
   }
@@ -223,7 +221,7 @@ u32 MemorySystem::credit_pool(Addr addr, bool is_write) const {
   // check, so even a refused call has a side effect. DRAM tier: a refusal
   // is about the tier's pending queue, which drains on its own schedule.
   if (channels_ == 1 || dram_on_) return kNoCreditPool;
-  return map_.channel_of(addr) * 2 + (is_write ? 1 : 0);
+  return pool_id(map_.channel_of(addr), is_write);
 }
 
 DataStore& MemorySystem::store_for(Addr addr) {
@@ -280,24 +278,34 @@ void MemorySystem::post_credit(u32 c, bool is_write) {
 }
 
 void MemorySystem::release_credit(u32 c, bool is_write) {
-  Credits& cr = chans_[c].credits;
-  u32& avail = is_write ? cr.write : cr.read;
-  const u32 cap = is_write ? wq_entries_ : rq_entries_;
-  if (avail < cap) ++avail;
+  CreditPool& pool = chans_[c].credits[is_write];
+  if (pool.avail == pool.cap) {
+    TW_FAIL(("channel " + std::to_string(c) + " got back a " +
+             (is_write ? "write" : "read") +
+             " credit it never lent (credit accounting drifted)")
+                .c_str());
+  }
+  ++pool.avail;
   if (dram_on_) {
-    // The freed credit may let the tier forward a pending writeback or
-    // demand miss; the front unstarves only once its pending queue has
-    // room again (tier starvation is about that queue, not credits).
-    tiers_[c]->on_pcm_space();
-    if (starved_ && tiers_[c]->has_room()) {
-      starved_ = false;
-      if (on_space_) on_space_();
-    }
+    tier_space(c);
     return;
   }
-  if (starved_) {
-    starved_ = false;
-    if (on_space_) on_space_();
+  // Only this pool's requests can use the credit, and only a pool that
+  // refused one has a waiter to wake.
+  if (pool.starved) {
+    pool.starved = false;
+    if (on_space_) on_space_(pool_id(c, is_write));
+  }
+}
+
+void MemorySystem::tier_space(u32 c) {
+  // The freed space may let the tier forward a pending writeback or
+  // demand miss; the front unstarves only once its pending queue has
+  // room again (tier starvation is about that queue, not credits).
+  tiers_[c]->on_pcm_space();
+  if (tier_starved_ && tiers_[c]->has_room()) {
+    tier_starved_ = false;
+    if (on_space_) on_space_(kNoCreditPool);
   }
 }
 

@@ -16,17 +16,20 @@
 // needs to peek at a channel's queue state mid-window:
 //
 //   * a request consumes a read/write credit for its channel; zero
-//     credits => enqueue() returns false and the space callback fires
-//     once a credit-release message comes back;
+//     credits => enqueue() returns false, and the next credit-release
+//     message for that pool wakes the front;
 //   * a completed read/write releases its credit (riding the completion
 //     message); a write that coalesces into a queued same-line write
 //     (detected at delivery: queue depth unchanged) releases its credit
-//     immediately, since no completion will ever fire for it;
+//     immediately, since no completion will ever fire for it. Releasing
+//     more credits than were lent fails the run;
 //   * each channel's read and write credits form a credit pool
 //     (credit_pool() = channel * 2 + is_write): credits rise only when a
-//     release message arrives, so a refused pool stays refused until the
-//     next space callback. Passthrough (channels == 1) and the DRAM tier
-//     promise no pools;
+//     release message arrives, so a refused pool stays refused until its
+//     next release. A pool remembers whether it refused since its last
+//     release, and only such a release wakes the front, naming the pool
+//     (set_pool_space_callback). Passthrough (channels == 1) and the DRAM
+//     tier promise no pools and wake anonymously;
 //   * a credit is held until its completion (or coalesce release) reaches
 //     the front, one XBar hop after the request left the controller
 //     queue, so every queued request holds a credit and a credited
@@ -90,6 +93,7 @@ class MemorySystem : public MemoryInterface {
   void set_read_callback(ReadCallback cb) override;
   void set_write_callback(WriteCallback cb) override;
   void set_space_callback(SpaceCallback cb) override;
+  void set_pool_space_callback(PoolSpaceCallback cb) override;
   bool idle() const override;
   u32 credit_pool(Addr addr, bool is_write) const override;
   DataStore& store_for(Addr addr) override;
@@ -132,9 +136,11 @@ class MemorySystem : public MemoryInterface {
   trace::TraceRing* front_ring() { return front_ring_; }
 
  private:
-  struct Credits {
-    u32 read = 0;
-    u32 write = 0;
+  /// One channel's read or write credits (channels > 1).
+  struct CreditPool {
+    u32 avail = 0;
+    u32 cap = 0;
+    bool starved = false;  ///< refused a request since its last release
   };
   struct Channel {
     std::unique_ptr<sim::Simulator> sim;   ///< null for channels == 1
@@ -142,13 +148,20 @@ class MemorySystem : public MemoryInterface {
     std::unique_ptr<schemes::WriteScheme> scheme;
     std::unique_ptr<fault::FaultModel> fmodel;
     std::unique_ptr<Controller> ctl;
-    Credits credits;
+    CreditPool credits[2];  ///< indexed by is_write
   };
+  /// credit_pool() of channel c's read or write credits.
+  static u32 pool_id(u32 c, bool is_write) {
+    return c * 2 + (is_write ? 1 : 0);
+  }
 
   /// Hand a credited request to channel c's controller (channel domain).
   void deliver(u32 c, MemoryRequest req);
   void post_credit(u32 c, bool is_write);
   void release_credit(u32 c, bool is_write);
+  /// Channel c's PCM side has room again: let its DRAM tier forward and
+  /// wake the front once the tier can take requests.
+  void tier_space(u32 c);
   /// Completion dispatch on the front domain: routes through the DRAM
   /// tier when it is active (swallowing tier writebacks), else straight
   /// to the user callbacks.
@@ -161,20 +174,19 @@ class MemorySystem : public MemoryInterface {
   stats::Registry& main_reg_;
   AddressMap map_;
   u32 channels_;
-  u32 rq_entries_;
-  u32 wq_entries_;
   std::vector<Channel> chans_;
   std::unique_ptr<sim::ShardedEngine> engine_;  ///< null for channels == 1
   /// DRAM front tiers, one per channel (empty when dram.enabled=false so
   /// the disabled configuration is a pure passthrough).
   std::vector<std::unique_ptr<DramTier>> tiers_;
   bool dram_on_ = false;
-  bool starved_ = false;  ///< an enqueue failed since the last release
+  /// The DRAM tier refused an enqueue since the front was last woken.
+  bool tier_starved_ = false;
   trace::TraceRing* front_ring_ = nullptr;
 
   ReadCallback on_read_;
   WriteCallback on_write_;
-  SpaceCallback on_space_;
+  PoolSpaceCallback on_space_;
 };
 
 }  // namespace tw::mem

@@ -1,8 +1,8 @@
 // Multi-channel topology: address decode per interleave mode, geometry
 // validation with actionable messages, config-file surfacing, stats
 // merging, a small end-to-end MemorySystem run over the sharded engine,
-// and the credit-pool retry walk of write-saturated runs checked bit for
-// bit against the full walk.
+// and the pool-naming wakes and credit-pool retry walks of
+// write-saturated runs checked bit for bit against the full walk.
 
 #include <gtest/gtest.h>
 
@@ -284,7 +284,7 @@ TEST(MemorySystemSharded, BackpressureSignalsSpaceCallback) {
   mem::ControllerConfig cc;
   cc.read_queue_entries = 2;
   cc.write_queue_entries = 2;
-  cc.drain_low_watermark = 1;  // must stay below the write queue size
+  cc.drain_low_watermark = 0;  // a drain empties the write queue
   fault::FaultConfig fault;
   const mem::SchemeFactory factory = [&](u32) {
     return core::make_scheme(schemes::SchemeKind::kDcw, pc);
@@ -294,8 +294,9 @@ TEST(MemorySystemSharded, BackpressureSignalsSpaceCallback) {
 
   u64 done = 0;
   msys.set_read_callback([&](const mem::MemoryRequest&) { ++done; });
-  bool space_seen = false;
-  msys.set_space_callback([&] { space_seen = true; });
+  msys.set_write_callback([&](const mem::MemoryRequest&) { ++done; });
+  std::vector<u32> wakes;
+  msys.set_pool_space_callback([&](u32 pool) { wakes.push_back(pool); });
 
   // Flood channel 0 (even lines) with reads: credits run out at 2.
   u64 accepted = 0, refused = 0;
@@ -311,10 +312,23 @@ TEST(MemorySystemSharded, BackpressureSignalsSpaceCallback) {
   }
   EXPECT_EQ(accepted, 2u);
   EXPECT_EQ(refused, 4u);
+  // Two writes to channel 1 (odd lines) fill its write queue, which
+  // starts the drain, and its write pool never refuses.
+  for (const u64 line : {1, 3}) {
+    mem::MemoryRequest w;
+    w.addr = line * pc.geometry.cache_line_bytes;
+    w.type = mem::ReqType::kWrite;
+    w.data = pcm::LogicalLine(pc.geometry.units_per_line());
+    ASSERT_TRUE(msys.enqueue(w));
+  }
 
   msys.run(ms(100));
-  EXPECT_EQ(done, 2u);
-  EXPECT_TRUE(space_seen);  // credit releases must wake the front
+  EXPECT_EQ(done, 4u);
+  // The first read credit back wakes the front, naming channel 0's read
+  // pool. The second finds no refusal since, and the write pool never
+  // had one, so no other release wakes anyone.
+  EXPECT_EQ(wakes, std::vector<u32>{msys.credit_pool(0, false)});
+  EXPECT_EQ(msys.credit_pool(0, false), 0u);
   EXPECT_TRUE(msys.idle());
 }
 
@@ -346,16 +360,20 @@ TEST(MemorySystemSharded, CreditPoolsOnlyWhereRefusalsAreFree) {
   EXPECT_EQ(pool(4, true, 3, true), mem::MemoryInterface::kNoCreditPool);
 }
 
+/// What a CountingMemory passes on from the system below it.
+enum class Wakes {
+  kNamed,      ///< pools and pool-naming wakes: a wake walks one pool
+  kAnonymous,  ///< pools but anonymous wakes: a walk tries every pool
+  kNoPools,    ///< neither: a walk retries every stalled core
+};
+
 /// MemoryInterface pass-through that counts what the cores ask of the
 /// memory: every enqueue, the accepted ones, first-stall refusals, and
-/// the refusals inside space-callback walks, by the credit pool they came
-/// from.
-/// With `hide_pools` it promises no credit pools, so MultiCore retries
-/// every stalled core on every walk.
+/// the refusals inside wake walks, by the credit pool they came from.
 class CountingMemory final : public mem::MemoryInterface {
  public:
-  CountingMemory(mem::MemoryInterface& inner, bool hide_pools, u32 cores)
-      : inner_(inner), hide_pools_(hide_pools), stalled_(cores, false) {}
+  CountingMemory(mem::MemoryInterface& inner, Wakes wakes, u32 cores)
+      : inner_(inner), wakes_(wakes), stalled_(cores, false) {}
 
   bool enqueue(mem::MemoryRequest req) override {
     const u32 pool = inner_.credit_pool(req.addr, req.is_write());
@@ -388,17 +406,23 @@ class CountingMemory final : public mem::MemoryInterface {
     inner_.set_write_callback(std::move(cb));
   }
   void set_space_callback(SpaceCallback cb) override {
-    inner_.set_space_callback([this, cb = std::move(cb)] {
-      ++walks;
-      in_walk_ = true;
-      walk_pools_.clear();
-      cb();
-      in_walk_ = false;
+    inner_.set_space_callback(
+        [this, cb = std::move(cb)] { walk([&] { cb(); }); });
+  }
+  void set_pool_space_callback(PoolSpaceCallback cb) override {
+    if (wakes_ != Wakes::kNamed) {
+      // The default: an anonymous wake through set_space_callback.
+      MemoryInterface::set_pool_space_callback(std::move(cb));
+      return;
+    }
+    inner_.set_pool_space_callback([this, cb = std::move(cb)](u32 pool) {
+      walk([&] { cb(pool); });
     });
   }
   bool idle() const override { return inner_.idle(); }
   u32 credit_pool(Addr addr, bool is_write) const override {
-    return hide_pools_ ? kNoCreditPool : inner_.credit_pool(addr, is_write);
+    return wakes_ == Wakes::kNoPools ? kNoCreditPool
+                                     : inner_.credit_pool(addr, is_write);
   }
   mem::DataStore& store_for(Addr addr) override {
     return inner_.store_for(addr);
@@ -407,14 +431,23 @@ class CountingMemory final : public mem::MemoryInterface {
   u64 calls = 0;
   u64 accepted = 0;
   u64 first_stalls = 0;    ///< refusals of a core that was not stalled
-  u64 walks = 0;           ///< space callbacks
+  u64 walks = 0;           ///< wakes
   u64 pool_repeats = 0;    ///< walk refusals from a pool that already
                            ///< refused in that walk
   u64 stray_refusals = 0;  ///< refusals of stalled cores outside a walk
 
  private:
+  template <typename Wake>
+  void walk(Wake&& wake) {
+    ++walks;
+    in_walk_ = true;
+    walk_pools_.clear();
+    wake();
+    in_walk_ = false;
+  }
+
   mem::MemoryInterface& inner_;
-  bool hide_pools_;
+  Wakes wakes_;
   std::vector<bool> stalled_;
   bool in_walk_ = false;
   std::vector<u32> walk_pools_;
@@ -436,35 +469,36 @@ struct ShardedRun {
   harness::RunMetrics m;
   std::string trace;  ///< Chrome trace bytes, every domain traced
   u64 trace_records = 0;
+  u64 trace_dropped = 0;  ///< records lost to ring wraparound
 };
 
-/// Run vips/Tetris under `cfg` as harness::run_system does. With `counter`
-/// engaged the cores talk to a CountingMemory(hide_pools) over the system,
-/// which is left in `counter` for the caller to read.
+/// Run `profile`/Tetris under `cfg` as harness::run_system does, with
+/// the cores behind a CountingMemory(wakes) over the system, which is
+/// left in `counter` for the caller to read.
 ShardedRun run_sharded(const harness::SystemConfig& cfg,
-                       std::optional<CountingMemory>* counter = nullptr,
-                       bool hide_pools = false) {
-  const workload::WorkloadProfile& vips = workload::profile_by_name("vips");
+                       const workload::WorkloadProfile& profile,
+                       std::optional<CountingMemory>& counter, Wakes wakes) {
   sim::Simulator sim;
   stats::Registry reg;
   const auto msys = harness::make_memory_system(
-      sim, cfg, schemes::SchemeKind::kTetris, reg, vips.initial_ones_fraction);
-  workload::TraceGenerator gen(vips, cfg.pcm.geometry, cfg.cores,
+      sim, cfg, schemes::SchemeKind::kTetris, reg,
+      profile.initial_ones_fraction);
+  workload::TraceGenerator gen(profile, cfg.pcm.geometry, cfg.cores,
                                cfg.seed * 0x9E3779B9u + 7);
-  mem::MemoryInterface* front = msys.get();
-  if (counter != nullptr) {
-    counter->emplace(*msys, hide_pools, cfg.cores);
-    front = &**counter;
-  }
-  cpu::MultiCore cpus(sim, cfg.core, cfg.cores, *front, gen,
+  counter.emplace(*msys, wakes, cfg.cores);
+  cpu::MultiCore cpus(sim, cfg.core, cfg.cores, *counter, gen,
                       cfg.instructions_per_core);
-  trace::Tracer tracer;
+  // One ring per domain, sized to the run rather than the 32 MiB default:
+  // these runs emit about one record per 12 retired instructions across
+  // all domains, and the caller checks that no ring wrapped.
+  trace::Tracer tracer(trace::kAllCategories,
+                       u64{cfg.cores} * cfg.instructions_per_core / 8);
   msys->bind_trace(tracer);
   cpus.start();
   msys->run(cfg.max_sim_time);
 
   ShardedRun out;
-  out.m.workload = vips.name;
+  out.m.workload = profile.name;
   harness::harvest(*msys, cpus, reg, out.m);
   std::ostringstream bytes;
   trace::RunManifest manifest;
@@ -473,39 +507,94 @@ ShardedRun run_sharded(const harness::SystemConfig& cfg,
   trace::write_chrome_trace(bytes, records, manifest);
   out.trace = bytes.str();
   out.trace_records = records.size();
+  out.trace_dropped = tracer.total_dropped();
   return out;
 }
 
 TEST(MemorySystemSharded, RetryWalkSkipsPoolsThatRefused) {
-  // Credits only rise in a release message, which starts the walk, so a
-  // core waiting on a pool that already refused in this walk would be
-  // refused again. Skipping it saves the call and changes nothing.
-  const harness::SystemConfig cfg = write_storm_config();
-  std::optional<CountingMemory> skip;
-  std::optional<CountingMemory> full;
-  const ShardedRun a = run_sharded(cfg, &skip, /*hide_pools=*/false);
-  const ShardedRun b = run_sharded(cfg, &full, /*hide_pools=*/true);
-  ASSERT_TRUE(a.m.completed);
-  // Write-saturated: some channel's write queue filled up.
-  EXPECT_EQ(a.m.write_q_peak, cfg.controller.write_queue_entries);
-  EXPECT_GT(a.trace_records, 0u);
-  EXPECT_EQ(harness::differing_metrics(a.m, b.m), "");
-  EXPECT_EQ(a.trace, b.trace);
+  // Credits only rise in a release, which wakes the cores, so a core
+  // waiting on a pool that refused since its last release would be
+  // refused again. A named wake therefore retries only its own pool up
+  // to the first refusal, an anonymous wake tries each pool until it
+  // refuses, and both simulate exactly what retrying every stalled core
+  // does.
+  u64 tier_walks = 0;
+  for (const u32 channels : {2u, 8u}) {
+    for (const bool dram : {false, true}) {
+      for (const bool merge : {true, false}) {
+        for (const bool faults : {false, true}) {
+          harness::SystemConfig cfg = write_storm_config();
+          cfg.pcm.geometry.channels = channels;
+          cfg.controller.write_coalescing = merge;
+          cfg.controller.read_forwarding = merge;
+          cfg.dram.enabled = dram;
+          cfg.dram.capacity_bytes = u64{64} << 10;
+          if (faults) {
+            cfg.fault = fault::profile_config(fault::FaultProfile::kLight);
+          }
+          SCOPED_TRACE(testing::Message()
+                       << "channels=" << channels << " dram=" << dram
+                       << " merge=" << merge << " faults=" << faults);
+          // vips saturates the write queues; with 64 lines per core it
+          // also repeats lines often enough to coalesce and forward.
+          workload::WorkloadProfile vips = workload::profile_by_name("vips");
+          if (merge) vips.working_set_lines = 64;
+          std::optional<CountingMemory> named;
+          std::optional<CountingMemory> anon;
+          std::optional<CountingMemory> full;
+          const ShardedRun a = run_sharded(cfg, vips, named, Wakes::kNamed);
+          const ShardedRun b =
+              run_sharded(cfg, vips, anon, Wakes::kAnonymous);
+          const ShardedRun c = run_sharded(cfg, vips, full, Wakes::kNoPools);
+          ASSERT_TRUE(a.m.completed);
+          EXPECT_GT(a.trace_records, 0u);
+          EXPECT_EQ(a.trace_dropped, 0u);
+          EXPECT_EQ(harness::differing_metrics(a.m, b.m), "");
+          EXPECT_EQ(harness::differing_metrics(a.m, c.m), "");
+          EXPECT_EQ(a.trace, b.trace);
+          EXPECT_EQ(a.trace, c.trace);
 
-  // Same simulation, so the same requests, stalls and walks.
-  EXPECT_EQ(skip->accepted, full->accepted);
-  EXPECT_EQ(skip->first_stalls, full->first_stalls);
-  EXPECT_EQ(skip->walks, full->walks);
-  EXPECT_GT(skip->walks, 0u);
-  EXPECT_EQ(skip->stray_refusals, 0u);
-  // Each of the 2 * channels pools refuses at most once per walk...
-  EXPECT_EQ(skip->pool_repeats, 0u);
-  EXPECT_LE(skip->calls, skip->accepted + skip->first_stalls +
-                             skip->walks * 2 * cfg.pcm.geometry.channels);
-  // ...where the full walk retries every stalled core (3.4x the calls on
-  // this cell).
-  EXPECT_GT(full->pool_repeats, 0u);
-  EXPECT_LT(2 * skip->calls, full->calls);
+          // Same simulation, so the same requests, stalls and wakes.
+          for (const CountingMemory* other : {&*anon, &*full}) {
+            EXPECT_EQ(named->accepted, other->accepted);
+            EXPECT_EQ(named->first_stalls, other->first_stalls);
+            EXPECT_EQ(named->walks, other->walks);
+          }
+          for (const CountingMemory* run : {&*named, &*anon, &*full}) {
+            EXPECT_EQ(run->stray_refusals, 0u);
+          }
+          if (dram) {
+            // The tier promises no pools: every mode is the full walk.
+            EXPECT_EQ(named->calls, full->calls);
+            tier_walks += named->walks;
+            continue;
+          }
+          EXPECT_GT(named->walks, 0u);
+          // A named wake refuses at most once...
+          EXPECT_EQ(named->pool_repeats, 0u);
+          EXPECT_LE(named->calls,
+                    named->accepted + named->first_stalls + named->walks);
+          // ...an anonymous one at most once per pool...
+          EXPECT_EQ(anon->pool_repeats, 0u);
+          EXPECT_LE(anon->calls, anon->accepted + anon->first_stalls +
+                                     anon->walks * 2 * channels);
+          EXPECT_LE(named->calls, anon->calls);
+          // ...and the full walk retries every stalled core.
+          EXPECT_LE(anon->calls, full->calls);
+          if (channels == 8 && !faults) {
+            // Write-saturated: some channel's write queue filled up, and
+            // the full walk makes 3.4x the named walk's calls.
+            EXPECT_EQ(a.m.write_q_peak, cfg.controller.write_queue_entries);
+            EXPECT_GT(full->pool_repeats, 0u);
+            EXPECT_LT(2 * named->calls, full->calls);
+          }
+        }
+      }
+    }
+  }
+  // The tier's pending queue filled in some cell, so its anonymous wakes
+  // were differentially checked too.
+  EXPECT_GT(tier_walks, 0u);
 }
 
 TEST(MemorySystemSharded, CreditedDeliveriesNeverRefused) {

@@ -302,6 +302,129 @@ TEST(RefusedWrite, OldestStallTakesTheFreedSlot) {
   }
 }
 
+// ---------------------------------------------------- pool-named wakes --
+
+/// A memory with two credit pools, even and odd lines, and nothing behind
+/// them: a pool accepts while it has open slots. Accepted requests never
+/// complete; the test fires the wakes itself with `wake()`.
+class TwoPoolMemory : public mem::MemoryInterface {
+ public:
+  struct Attempt {
+    u32 core;
+    u32 pool;
+    bool accepted;
+    bool operator==(const Attempt&) const = default;
+  };
+
+  explicit TwoPoolMemory(const pcm::GeometryParams& g)
+      : line_bytes_(g.cache_line_bytes), store_(g.units_per_line(), 7) {}
+
+  bool enqueue(mem::MemoryRequest req) override {
+    const u32 pool = credit_pool(req.addr, req.is_write());
+    const bool accepted = open[pool] > 0;
+    if (accepted) --open[pool];
+    attempts.push_back({req.core, pool, accepted});
+    return accepted;
+  }
+  void set_read_callback(ReadCallback) override {}
+  void set_write_callback(WriteCallback) override {}
+  void set_space_callback(SpaceCallback cb) override {
+    wake_ = [cb = std::move(cb)](u32) { cb(); };
+  }
+  void set_pool_space_callback(PoolSpaceCallback cb) override {
+    wake_ = std::move(cb);
+  }
+  bool idle() const override { return true; }
+  u32 credit_pool(Addr addr, bool) const override {
+    return static_cast<u32>((addr / line_bytes_) % 2);
+  }
+  mem::DataStore& store_for(Addr) override { return store_; }
+
+  void wake(u32 pool) { wake_(pool); }
+
+  static constexpr u32 kMany = 1000;
+  u32 open[2] = {0, 0};
+  std::vector<Attempt> attempts;
+
+ private:
+  u32 line_bytes_;
+  mem::DataStore store_;
+  PoolSpaceCallback wake_;
+};
+
+TEST(StallFifo, NamedWakeRetriesOnlyItsPoolOldestFirst) {
+  const pcm::PcmConfig pcfg = pcm::table2_config();
+  constexpr u32 kCores = 8;
+  sim::Simulator sim;
+  TwoPoolMemory mem(pcfg.geometry);
+  workload::TraceGenerator gen(workload::profile_by_name("vips"),
+                               pcfg.geometry, kCores, 1234);
+  MultiCore cpus(sim, CoreConfig{}, kCores, mem, gen, 10'000'000);
+  cpus.start();
+  sim.run();  // both pools closed: every core ends stalled once
+
+  using Attempt = TwoPoolMemory::Attempt;
+  const std::vector<Attempt> stalls = mem.attempts;  // stall order
+  ASSERT_EQ(stalls.size(), kCores);
+  std::vector<Attempt> by_pool[2];
+  for (Attempt a : stalls) {
+    a.accepted = true;  // what a retry into an open slot records
+    by_pool[a.pool].push_back(a);
+  }
+  ASSERT_GE(by_pool[0].size(), 2u);
+  ASSERT_GE(by_pool[1].size(), 2u);
+  const auto refused = [](Attempt a) {
+    a.accepted = false;
+    return a;
+  };
+  const auto walk = [&](u32 pool) {
+    const std::size_t from = mem.attempts.size();
+    mem.wake(pool);
+    return std::vector<Attempt>(mem.attempts.begin() + from,
+                                mem.attempts.end());
+  };
+
+  // A wake naming pool 0 with one open slot: its oldest stall takes the
+  // slot, the next one is refused and the walk stops there. Pool 1's
+  // cores are not tried.
+  mem.open[0] = 1;
+  EXPECT_EQ(walk(0), (std::vector<Attempt>{by_pool[0][0],
+                                           refused(by_pool[0][1])}));
+  // Pool 1 kept its order: its oldest stall takes its first slot.
+  mem.open[1] = 1;
+  EXPECT_EQ(walk(1), (std::vector<Attempt>{by_pool[1][0],
+                                           refused(by_pool[1][1])}));
+
+  // An anonymous wake walks every stalled core, oldest stall first across
+  // the pools; a pool that refuses leaves the walk.
+  std::vector<Attempt> left;  // still stalled, in stall order
+  for (const Attempt& a : stalls) {
+    if (a.core != by_pool[0][0].core && a.core != by_pool[1][0].core) {
+      left.push_back({a.core, a.pool, true});
+    }
+  }
+  mem.open[1] = TwoPoolMemory::kMany;
+  std::vector<Attempt> want;
+  bool pool0_refused = false;
+  for (const Attempt& a : left) {
+    if (a.pool == 1) {
+      want.push_back(a);
+    } else if (!pool0_refused) {
+      want.push_back(refused(a));
+      pool0_refused = true;
+    }
+  }
+  EXPECT_EQ(walk(mem::MemoryInterface::kNoCreditPool), want);
+  // With both pools open it reaches every core still stalled.
+  mem.open[0] = TwoPoolMemory::kMany;
+  want.clear();
+  for (const Attempt& a : left) {
+    if (a.pool == 0) want.push_back(a);
+  }
+  EXPECT_EQ(walk(mem::MemoryInterface::kNoCreditPool), want);
+  EXPECT_TRUE(walk(mem::MemoryInterface::kNoCreditPool).empty());
+}
+
 TEST(Core, StartTwiceRejected) {
   SystemFixture f("blackscholes", 1, 1'000);
   f.cpus->start();
