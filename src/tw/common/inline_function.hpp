@@ -4,14 +4,10 @@
 // The simulation kernel fires tens of millions of events per run; wrapping
 // every callback in std::function costs one heap allocation (plus a free)
 // per scheduled event. BasicInlineFunction stores the capture inline in a
-// fixed buffer instead:
-//
-//   * AllowHeap == false (sim::Simulator::Callback): a capture larger than
-//     the buffer is a compile error — every call site is statically
-//     guaranteed allocation-free;
-//   * AllowHeap == true (ThreadPool::Job): oversized captures fall back to
-//     a single heap cell, so arbitrary jobs still work, while the common
-//     small jobs stay inline.
+// fixed buffer instead, and a capture larger than the buffer is a compile
+// error: every call site (sim::Simulator::Callback, ThreadPool::Job) is
+// statically guaranteed allocation-free. State too large to capture is
+// parked in a ChunkPool and the callable captures its u32 id.
 //
 // Move-only by design: callbacks own their captures and are consumed by
 // the queue that fires them; copying would silently duplicate state.
@@ -23,16 +19,10 @@
 
 namespace tw {
 
-template <std::size_t Capacity, bool AllowHeap>
+template <std::size_t Capacity>
 class BasicInlineFunction {
  public:
   static constexpr std::size_t kCapacity = Capacity;
-
-  /// True when F's captures fit the inline buffer (no heap needed).
-  template <class F>
-  static constexpr bool fits_inline =
-      sizeof(std::decay_t<F>) <= Capacity &&
-      alignof(std::decay_t<F>) <= alignof(std::max_align_t);
 
   BasicInlineFunction() = default;
   BasicInlineFunction(std::nullptr_t) {}  // NOLINT: implicit like std::function
@@ -44,18 +34,13 @@ class BasicInlineFunction {
                 !std::is_same_v<D, std::nullptr_t> &&
                 std::is_invocable_r_v<void, D&>>>
   BasicInlineFunction(F&& f) {  // NOLINT: implicit like std::function
-    if constexpr (fits_inline<F>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &InlineOpsFor<D>::ops;
-    } else {
-      static_assert(AllowHeap,
-                    "callback capture exceeds the inline buffer; shrink the "
-                    "capture (e.g. capture an index into pooled state "
-                    "instead of the object) — the simulator event path is "
-                    "allocation-free by contract");
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapOpsFor<D>::ops;
-    }
+    static_assert(sizeof(D) <= Capacity &&
+                      alignof(D) <= alignof(std::max_align_t),
+                  "callback capture exceeds the inline buffer; shrink the "
+                  "capture (e.g. park the object in a ChunkPool and capture "
+                  "its id) — callbacks are allocation-free by contract");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    ops_ = &InlineOpsFor<D>::ops;
   }
 
   BasicInlineFunction(BasicInlineFunction&& other) noexcept {
@@ -108,17 +93,6 @@ class BasicInlineFunction {
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
-  template <class D>
-  struct HeapOpsFor {
-    static D*& cell(void* s) { return *static_cast<D**>(s); }
-    static void invoke(void* s) { (*cell(s))(); }
-    static void relocate(void* dst, void* src) {
-      ::new (dst) D*(cell(src));
-    }
-    static void destroy(void* s) { delete cell(s); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
-  };
-
   void move_from(BasicInlineFunction&& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
@@ -131,12 +105,12 @@ class BasicInlineFunction {
   const Ops* ops_ = nullptr;
 };
 
-template <std::size_t C, bool H>
-inline bool operator==(const BasicInlineFunction<C, H>& f, std::nullptr_t) {
+template <std::size_t C>
+inline bool operator==(const BasicInlineFunction<C>& f, std::nullptr_t) {
   return !f;
 }
-template <std::size_t C, bool H>
-inline bool operator!=(const BasicInlineFunction<C, H>& f, std::nullptr_t) {
+template <std::size_t C>
+inline bool operator!=(const BasicInlineFunction<C>& f, std::nullptr_t) {
   return static_cast<bool>(f);
 }
 

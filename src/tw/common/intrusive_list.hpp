@@ -5,20 +5,17 @@
 // threads that node onto two lists at once: a global age-ordered FIFO and
 // a per-bank (or per-subarray) FIFO. Index links instead of pointers keep
 // the node compact and let the 48-byte inline event callbacks carry list
-// positions; the chunked pool gives stable node references across growth
-// and recycles slots through a LIFO free list, so the steady-state
-// enqueue/dequeue path performs zero heap allocations (the same
-// discipline as the simulator's event-node pool).
+// positions; the nodes live in a ChunkPool (chunk_pool.hpp), so the
+// steady-state enqueue/dequeue path performs zero heap allocations (the
+// same discipline as the simulator's event-node pool).
 //
 // A node participates in k lists by embedding k ListLink members; each
 // IndexList is bound to one member at compile time. Lists never own
 // nodes — the caller frees a node back to the pool only after unlinking
 // it from every list it is on.
 
-#include <memory>
-#include <vector>
-
 #include "tw/common/assert.hpp"
+#include "tw/common/chunk_pool.hpp"
 #include "tw/common/types.hpp"
 
 namespace tw {
@@ -30,54 +27,6 @@ inline constexpr u32 kNilIndex = 0xFFFFFFFFu;
 struct ListLink {
   u32 prev = kNilIndex;
   u32 next = kNilIndex;
-};
-
-/// Chunked object pool addressed by dense u32 ids. References returned by
-/// operator[] stay valid across alloc() growth (chunks never move).
-template <class T, u32 kChunkSizeLog2 = 8>
-class ChunkPool {
- public:
-  static constexpr u32 kChunkSize = u32{1} << kChunkSizeLog2;
-
-  T& operator[](u32 id) {
-    TW_ASSERT(id < next_);
-    return chunks_[id >> kChunkSizeLog2][id & (kChunkSize - 1)];
-  }
-  const T& operator[](u32 id) const {
-    TW_ASSERT(id < next_);
-    return chunks_[id >> kChunkSizeLog2][id & (kChunkSize - 1)];
-  }
-
-  /// Take a slot: recycles the most recently freed id, else appends (and
-  /// grows by one chunk when the current chunk is exhausted).
-  u32 alloc() {
-    if (!free_.empty()) {
-      const u32 id = free_.back();
-      free_.pop_back();
-      return id;
-    }
-    if ((next_ & (kChunkSize - 1)) == 0) {
-      chunks_.push_back(std::make_unique<T[]>(kChunkSize));
-    }
-    return next_++;
-  }
-
-  /// Return a slot to the pool. The object is left as-is (recycled slots
-  /// are overwritten by the next user).
-  void release(u32 id) {
-    TW_ASSERT(id < next_);
-    free_.push_back(id);
-  }
-
-  /// Slots currently handed out.
-  u32 live() const { return next_ - static_cast<u32>(free_.size()); }
-  /// Slots ever created (high-water mark).
-  u32 allocated() const { return next_; }
-
- private:
-  std::vector<std::unique_ptr<T[]>> chunks_;
-  std::vector<u32> free_;  ///< LIFO recycler
-  u32 next_ = 0;
 };
 
 /// Intrusive doubly-linked FIFO bound to one ListLink member of Node.

@@ -29,8 +29,8 @@ namespace tw {
 class ThreadPool {
  public:
   /// Pool jobs keep captures up to 64 B inline (parallel_for's chunk jobs
-  /// capture one pointer); larger captures fall back to one heap cell.
-  using Job = BasicInlineFunction<64, true>;
+  /// capture one pointer); a larger capture is a compile error.
+  using Job = BasicInlineFunction<64>;
 
   /// Spawn `threads` workers (defaults to hardware concurrency, min 1).
   explicit ThreadPool(std::size_t threads = 0);

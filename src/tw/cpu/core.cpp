@@ -15,6 +15,13 @@ StallFifo::Queue& StallFifo::of(u32 pool) {
   return pools_[pool];
 }
 
+bool StallFifo::any_pooled() const {
+  for (const Queue& q : pools_) {
+    if (!q.empty()) return true;
+  }
+  return false;
+}
+
 Core::Core(sim::Simulator& sim, u32 id, CoreConfig cfg,
            mem::MemoryInterface& mem, workload::RequestSource& gen,
            u64 instruction_budget, StallFifo& stalled)

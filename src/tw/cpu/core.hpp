@@ -13,8 +13,8 @@
 // the stream hands out the op), and travels with it: an enqueue the
 // controller refuses draws nothing, and the retry sends the same line.
 // Cores stalled on a full queue wait in their owner's stall FIFOs, one
-// per credit pool, and retry oldest stall first when their pool (or, on
-// an anonymous wake, any pool) gets queue space back.
+// per credit pool plus one for requests in no pool, and retry oldest
+// stall first when their FIFO's pool gets queue space back.
 
 #include <vector>
 
@@ -40,36 +40,26 @@ class Core;
 
 /// Cores stalled on a full memory queue: one FIFO per credit pool
 /// (MemoryInterface::credit_pool) and one for requests in no pool, each
-/// oldest stall first. A stall sequence number orders stalls across the
-/// FIFOs. A core appends itself when it first stalls; its owner removes
-/// it once a retry is accepted. No core stalls anew during a walk (an
-/// accepted retry only schedules its next gap), so the FIFOs neither grow
-/// nor move while a walk holds them.
+/// oldest stall first. A core appends itself when it first stalls; its
+/// owner removes it once a retry is accepted. No core stalls anew during
+/// a retry pass (an accepted retry only schedules its next gap), so a
+/// FIFO neither grows nor moves while its owner walks it.
 class StallFifo {
  public:
-  struct Entry {
-    u64 seq;  ///< stall order across every FIFO
-    Core* core;
-  };
-  using Queue = std::vector<Entry>;
+  using Queue = std::vector<Core*>;
 
-  /// Append `core`, stalled on `pool`, behind every earlier stall.
-  void push(Core* core, u32 pool) { of(pool).push_back({next_seq_++, core}); }
+  /// Append `core`, stalled on `pool`, behind the pool's earlier stalls.
+  void push(Core* core, u32 pool) { of(pool).push_back(core); }
 
   /// The FIFO of `pool` (MemoryInterface::kNoCreditPool: no pool).
   Queue& of(u32 pool);
 
-  /// Every FIFO, the no-pool one last.
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (Queue& q : pools_) fn(q);
-    fn(unpooled_);
-  }
+  /// True when some core waits on a credit pool.
+  bool any_pooled() const;
 
  private:
   std::vector<Queue> pools_;  ///< indexed by credit pool
   Queue unpooled_;
-  u64 next_seq_ = 0;
 };
 
 /// One simulated core running a fixed instruction budget.

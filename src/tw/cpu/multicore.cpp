@@ -25,41 +25,33 @@ MultiCore::MultiCore(sim::Simulator& sim, CoreConfig cfg, u32 cores,
 }
 
 void MultiCore::retry_stalled(u32 pool) {
-  // A pool's credits never rise during a walk (only a release, which
-  // wakes the cores, adds one), so once a pool refuses, its later cores
-  // would be refused too: they keep their places untried.
   constexpr u32 kNoPool = mem::MemoryInterface::kNoCreditPool;
   if (pool != kNoPool) {
-    // Only this pool's cores can use the freed space.
+    // Only this pool's cores can use the freed space, and its credits
+    // never rise during a walk (only a release, which wakes the cores,
+    // adds one): once it refuses, its later cores would be refused too,
+    // so they keep their places untried.
     StallFifo::Queue& q = stalled_.of(pool);
     std::size_t accepted = 0;
-    while (accepted < q.size() && q[accepted].core->on_queue_space()) {
+    while (accepted < q.size() && q[accepted]->on_queue_space()) {
       ++accepted;
     }
     q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(accepted));
     return;
   }
-  // Anonymous: merge the FIFOs on their stall order.
-  const StallFifo::Queue* unpooled = &stalled_.of(kNoPool);
-  walk_.clear();
-  stalled_.for_each([this](StallFifo::Queue& q) {
-    if (!q.empty()) walk_.push_back({&q, 0});
-  });
-  while (!walk_.empty()) {
-    const auto oldest = std::min_element(
-        walk_.begin(), walk_.end(), [](const Cursor& a, const Cursor& b) {
-          return (*a.queue)[a.next].seq < (*b.queue)[b.next].seq;
-        });
-    StallFifo::Queue& q = *oldest->queue;
-    const std::size_t at = oldest->next++;
-    const bool accepted = q[at].core->on_queue_space();
-    if (accepted) q[at].core = nullptr;  // dropped once q leaves the walk
-    if ((!accepted && &q != unpooled) || oldest->next == q.size()) {
-      std::erase_if(q, [](const StallFifo::Entry& e) { return !e.core; });
-      *oldest = walk_.back();
-      walk_.pop_back();
-    }
+  if (stalled_.any_pooled()) {
+    TW_FAIL(
+        "anonymous space wake while cores wait on a credit pool: a memory "
+        "whose credit_pool() reports pools must name the pool in every "
+        "wake (MemoryInterface::credit_pool contract)");
   }
+  // Requests in no pool promise nothing: retry every one, oldest first.
+  StallFifo::Queue& q = stalled_.of(kNoPool);
+  std::size_t kept = 0;
+  for (Core* core : q) {
+    if (!core->on_queue_space()) q[kept++] = core;
+  }
+  q.resize(kept);
 }
 
 void MultiCore::start() {

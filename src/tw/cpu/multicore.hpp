@@ -36,22 +36,16 @@ class MultiCore {
  private:
   /// A wake for `pool`: retries that pool's stalled cores oldest stall
   /// first, up to the first refusal. An anonymous wake
-  /// (MemoryInterface::kNoCreditPool) retries every FIFO, oldest stall
-  /// first across them, and a pool's FIFO leaves the walk at its first
-  /// refusal. A refused core keeps its place.
+  /// (MemoryInterface::kNoCreditPool) retries every core stalled in no
+  /// pool, oldest stall first; it fails the run if a core waits on a
+  /// pool, since a memory that reports pools names them in every wake.
+  /// A refused core keeps its place.
   void retry_stalled(u32 pool);
-
-  /// A FIFO still open in an anonymous walk and its next untried entry.
-  struct Cursor {
-    StallFifo::Queue* queue;
-    std::size_t next;
-  };
 
   sim::Simulator& sim_;
   CoreConfig cfg_;
   std::vector<std::unique_ptr<Core>> cores_;
   StallFifo stalled_;
-  std::vector<Cursor> walk_;  ///< anonymous walk scratch
 };
 
 }  // namespace tw::cpu

@@ -248,11 +248,11 @@ bool Controller::enqueue(MemoryRequest req) {
         done.start_tick = sim_.now();
         done.complete_tick = sim_.now() + cfg_.forward_latency;
         record_read_latency(cfg_.forward_latency);
-        const u32 slot = acquire_read_slot(std::move(done));
+        const u32 slot = read_results_.put(std::move(done));
         sim_.schedule_in(
             cfg_.forward_latency,
             [this, slot] {
-              const MemoryRequest fwd = take_read_slot(slot);
+              const MemoryRequest fwd = read_results_.take(slot);
               if (on_read_) on_read_(fwd);
             },
             sim::Priority::kDeviceComplete);
@@ -278,23 +278,6 @@ bool Controller::idle() const {
 }
 
 u64 Controller::gap_moves() const { return c_gap_moves_.value(); }
-
-u32 Controller::acquire_read_slot(MemoryRequest&& req) {
-  if (!free_read_slots_.empty()) {
-    const u32 slot = free_read_slots_.back();
-    free_read_slots_.pop_back();
-    read_pool_[slot] = std::move(req);
-    return slot;
-  }
-  read_pool_.push_back(std::move(req));
-  return static_cast<u32>(read_pool_.size() - 1);
-}
-
-MemoryRequest Controller::take_read_slot(u32 slot) {
-  MemoryRequest req = std::move(read_pool_[slot]);
-  free_read_slots_.push_back(slot);
-  return req;
-}
 
 void Controller::record_read_latency(Tick latency) {
   const double lat_ns = to_ns(latency);
@@ -808,13 +791,13 @@ void Controller::issue_read(u32 id) {
   req.complete_tick = now + service;
   record_read_latency(req.complete_tick - req.enqueue_tick);
 
-  const u32 slot = acquire_read_slot(std::move(req));
+  const u32 slot = read_results_.put(std::move(req));
   sim_.schedule_in(
       service,
       [this, slot, bank, rww] {
         --inflight_;
         if (rww) pumps_[bank].end_rww_read();
-        const MemoryRequest done = take_read_slot(slot);
+        const MemoryRequest done = read_results_.take(slot);
         if (on_read_) on_read_(done);
         schedule_dispatch();
       },

@@ -277,9 +277,6 @@ class Controller : public MemoryInterface {
 
   void note_row_activate(u32 bank, Addr phys);
 
-  /// Park a completed-read result; the completion event captures the slot.
-  u32 acquire_read_slot(MemoryRequest&& req);
-  MemoryRequest take_read_slot(u32 slot);
   // Issue paths take unlinked node ids; issue_write_batch takes the head
   // of a chain of >= 2 same-bank members linked through by_bucket, whose
   // nodes stay allocated until the batch completes.
@@ -400,11 +397,10 @@ class Controller : public MemoryInterface {
   /// palp_on_ and TW_VERIFY=1: re-check every pump admission.
   bool verify_palp_ = false;
 
-  // In-flight read results staged by slot: completion callbacks capture
-  // one u32 instead of a full MemoryRequest, keeping them inside the
-  // simulator's 48 B inline-callback budget (and allocation-free).
-  std::vector<MemoryRequest> read_pool_;
-  std::vector<u32> free_read_slots_;
+  // In-flight read results: completion callbacks capture one slot id
+  // instead of a full MemoryRequest, keeping them inside the simulator's
+  // 48 B inline-callback budget (and allocation-free).
+  RequestPool read_results_;
 
   ReadCallback on_read_;
   WriteCallback on_write_;

@@ -82,21 +82,12 @@ void DramTier::complete_hit(MemoryRequest req, Tick latency) {
   req.enqueue_tick = sim_.now();
   req.start_tick = sim_.now();
   req.complete_tick = sim_.now() + latency;
-  u32 slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slot_pool_[slot] = std::move(req);
-  } else {
-    slot = static_cast<u32>(slot_pool_.size());
-    slot_pool_.push_back(std::move(req));
-  }
+  const u32 slot = hits_.put(std::move(req));
   ++outstanding_;
   sim_.schedule_in(
       latency,
       [this, slot] {
-        MemoryRequest done = std::move(slot_pool_[slot]);
-        free_slots_.push_back(slot);
+        const MemoryRequest done = hits_.take(slot);
         --outstanding_;
         if (done.is_write()) {
           if (on_write_) on_write_(done);
@@ -113,8 +104,7 @@ void DramTier::write_back(Way& w) {
   wb.addr = w.tag;
   wb.type = ReqType::kWrite;
   wb.core = kWritebackCore;
-  wb.data = std::move(payloads_[w.payload]);
-  free_payloads_.push_back(w.payload);
+  wb.data = payloads_.take(w.payload);
   w.payload = kNoPayload;
   w.dirty = false;
   c_writebacks_.inc();
@@ -182,14 +172,7 @@ bool DramTier::enqueue(MemoryRequest req) {
     w.lru = ++clock_;
     if (req.is_write()) {
       if (w.payload == kNoPayload) {
-        if (!free_payloads_.empty()) {
-          w.payload = free_payloads_.back();
-          free_payloads_.pop_back();
-          payloads_[w.payload] = req.data;
-        } else {
-          w.payload = static_cast<u32>(payloads_.size());
-          payloads_.push_back(req.data);
-        }
+        w.payload = payloads_.put(req.data);
       } else {
         payloads_[w.payload] = req.data;
       }
@@ -236,14 +219,7 @@ bool DramTier::enqueue(MemoryRequest req) {
   const Tick latency = access_latency(line);  // fill activates the row
   if (req.is_write()) {
     // Write-allocate without fetch: a full-line write needs no PCM read.
-    if (!free_payloads_.empty()) {
-      w.payload = free_payloads_.back();
-      free_payloads_.pop_back();
-      payloads_[w.payload] = req.data;
-    } else {
-      w.payload = static_cast<u32>(payloads_.size());
-      payloads_.push_back(req.data);
-    }
+    w.payload = payloads_.put(req.data);
     w.dirty = true;
     complete_hit(std::move(req), latency);
   } else {

@@ -26,13 +26,14 @@
 //
 // Determinism: every tier mutation happens on the front simulation
 // domain (CPU enqueue, front-sim completion events, credit-release
-// messages), so ShardedEngine lockstep runs stay bit-identical at every
-// thread x channel count without any tier-side synchronization.
+// messages), so the tier needs no synchronization and same-seed runs
+// stay bit-identical at every channel count.
 
 #include <deque>
 #include <string>
 #include <vector>
 
+#include "tw/common/chunk_pool.hpp"
 #include "tw/common/types.hpp"
 #include "tw/mem/address_map.hpp"
 #include "tw/mem/interface.hpp"
@@ -156,11 +157,11 @@ class DramTier {
   u64 clock_ = 0;  ///< LRU ordinal source
   std::vector<Way> ways_;  ///< sets_ x cfg_.ways, row-major by set
 
-  /// Dirty payload pool (slotted; Way::payload indexes it). Kept out of
-  /// Way because a LogicalLine is ~264 bytes and most resident lines are
-  /// clean; the pool grows to the peak dirty-line count only.
-  std::vector<pcm::LogicalLine> payloads_;
-  std::vector<u32> free_payloads_;
+  /// Dirty payload pool (Way::payload indexes it). Kept out of Way
+  /// because a LogicalLine is ~264 bytes and most resident lines are
+  /// clean; the pool grows to the peak dirty-line count only, in chunks
+  /// of 16 lines.
+  ChunkPool<pcm::LogicalLine, 4> payloads_;
 
   /// Strict-FIFO miss path to PCM (writebacks ahead of the demand read
   /// that evicted them).
@@ -173,10 +174,9 @@ class DramTier {
   };
   std::vector<OpenRow> open_row_;
 
-  /// DRAM-hit completions in flight, staged by slot so the simulator
-  /// callback captures one u32 instead of a ~300-byte MemoryRequest.
-  std::vector<MemoryRequest> slot_pool_;
-  std::vector<u32> free_slots_;
+  /// DRAM-hit completions in flight, parked so the simulator callback
+  /// captures one u32 instead of a ~300-byte MemoryRequest.
+  RequestPool hits_;
   u64 outstanding_ = 0;
 
   ForwardFn forward_;

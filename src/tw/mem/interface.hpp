@@ -21,7 +21,7 @@ class MemoryInterface {
   using WriteCallback = std::function<void(const MemoryRequest&)>;
   using SpaceCallback = std::function<void()>;
   /// A wake naming the credit pool that got space back (kNoCreditPool:
-  /// space may have freed for any request).
+  /// space may have freed for requests in no pool).
   using PoolSpaceCallback = std::function<void(u32 pool)>;
 
   /// credit_pool() value for a request that belongs to no credit pool.
@@ -40,11 +40,12 @@ class MemoryInterface {
   /// Invoked whenever queue space frees up.
   virtual void set_space_callback(SpaceCallback cb) = 0;
   /// Invoked whenever queue space frees up, naming the credit pool whose
-  /// space came back (only that pool's requests may now be accepted), or
-  /// kNoCreditPool when any request may now be accepted. Space freed for
-  /// a request outside every pool comes as an anonymous wake. The default
-  /// wraps set_space_callback and reports kNoCreditPool, so a memory (or
-  /// a proxy) that knows nothing of pools still delivers every wake.
+  /// space came back (only that pool's requests may now be accepted).
+  /// Space freed for requests outside every pool comes as an anonymous
+  /// wake (kNoCreditPool). The default wraps set_space_callback and
+  /// reports kNoCreditPool, so a memory (or a proxy) that knows nothing
+  /// of pools still delivers every wake — provided it reports no pools
+  /// either (see credit_pool).
   virtual void set_pool_space_callback(PoolSpaceCallback cb) {
     set_space_callback([cb = std::move(cb)] { cb(kNoCreditPool); });
   }
@@ -56,10 +57,16 @@ class MemoryInterface {
   /// kNoCreditPool. Pools are small dense ids counted from 0. Promise
   /// behind a pool: once enqueue() refuses one of its requests, it
   /// refuses every request of that pool, with no side effect beyond the
-  /// first refusal's, until a wake that names that pool or no pool. A
+  /// first refusal's, until a wake that names that pool. A memory that
+  /// reports pools names the pool in every wake that frees pool space;
+  /// its anonymous wakes free space for requests in no pool only. A
   /// caller retrying stalled requests from a wake may therefore stop a
-  /// pool's retries at its first refusal, and on a wake that names pool
-  /// P it need retry only P's requests. The default promises nothing.
+  /// pool's retries at its first refusal, retry only P's requests on a
+  /// wake that names pool P, and only no-pool requests on an anonymous
+  /// wake (MultiCore fails the run on an anonymous wake while a core
+  /// waits on a pool: those cores would never wake). A proxy that
+  /// forwards credit_pool must forward set_pool_space_callback too. The
+  /// default promises nothing.
   virtual u32 credit_pool(Addr /*addr*/, bool /*is_write*/) const {
     return kNoCreditPool;
   }

@@ -66,20 +66,10 @@ MemorySystem::MemorySystem(sim::Simulator& front_sim,
       // Channel-side wiring (runs in the channel's domain): completions
       // ride latency-Q messages back to the front, releasing their credit
       // there. No space callback: credits guarantee queue room (deliver).
-      ch.ctl->set_read_callback([this, c](const MemoryRequest& req) {
-        engine_->post(c + 1, 0, sim::Priority::kDeviceComplete,
-                      sim::ShardedEngine::Message([this, c, r = req] {
-                        release_credit(c, false);
-                        front_read_complete(c, r);
-                      }));
-      });
-      ch.ctl->set_write_callback([this, c](const MemoryRequest& req) {
-        engine_->post(c + 1, 0, sim::Priority::kDeviceComplete,
-                      sim::ShardedEngine::Message([this, c, r = req] {
-                        release_credit(c, true);
-                        front_write_complete(c, r);
-                      }));
-      });
+      ch.ctl->set_read_callback(
+          [this, c](const MemoryRequest& req) { post_completion(c, req); });
+      ch.ctl->set_write_callback(
+          [this, c](const MemoryRequest& req) { post_completion(c, req); });
     }
   }
 
@@ -114,19 +104,9 @@ void MemorySystem::wire_dram(u32 c, const DramConfig& dram) {
     chans_[0].ctl->set_pool_space_callback([this](u32) { tier_space(0); });
   } else {
     // Miss path consumes a channel credit exactly like a front enqueue
-    // did without the tier; DRAM hits never reach this function, which
+    // does without the tier; DRAM hits never reach this function, which
     // is what keeps them credit-free.
-    tier->set_forward([this, c](MemoryRequest& r) {
-      u32& avail = chans_[c].credits[r.is_write()].avail;
-      if (avail == 0) return false;
-      --avail;
-      engine_->post(0, c + 1, sim::Priority::kController,
-                    sim::ShardedEngine::Message(
-                        [this, c, req = std::move(r)]() mutable {
-                          deliver(c, std::move(req));
-                        }));
-      return true;
-    });
+    tier->set_forward([this, c](MemoryRequest& r) { return send(c, r); });
   }
 }
 
@@ -153,19 +133,33 @@ bool MemorySystem::enqueue(MemoryRequest req) {
     return ok;
   }
   if (channels_ == 1) return chans_[0].ctl->enqueue(std::move(req));
-  const u32 c = map_.channel_of(req.addr);
+  return send(map_.channel_of(req.addr), req);
+}
+
+bool MemorySystem::send(u32 c, MemoryRequest& req) {
   CreditPool& pool = chans_[c].credits[req.is_write()];
   if (pool.avail == 0) {
-    pool.starved = true;
+    pool.starved = true;  // the DRAM tier's wakes ignore it (tier_space)
     return false;
   }
   --pool.avail;
+  const u32 slot = transit_.put(std::move(req));
   engine_->post(0, c + 1, sim::Priority::kController,
-                sim::ShardedEngine::Message(
-                    [this, c, r = std::move(req)]() mutable {
-                      deliver(c, std::move(r));
-                    }));
+                [this, c, slot] { deliver(c, transit_.take(slot)); });
   return true;
+}
+
+void MemorySystem::post_completion(u32 c, const MemoryRequest& req) {
+  const u32 slot = transit_.put(req);
+  engine_->post(c + 1, 0, sim::Priority::kDeviceComplete, [this, c, slot] {
+    const MemoryRequest done = transit_.take(slot);
+    release_credit(c, done.is_write());
+    if (done.is_write()) {
+      front_write_complete(c, done);
+    } else {
+      front_read_complete(c, done);
+    }
+  });
 }
 
 void MemorySystem::set_read_callback(ReadCallback cb) {
@@ -225,6 +219,8 @@ u32 MemorySystem::credit_pool(Addr addr, bool is_write) const {
 }
 
 DataStore& MemorySystem::store_for(Addr addr) {
+  // The front domain reads a channel domain's store; safe only because
+  // ShardedEngine runs every domain on the calling thread.
   return chans_[channels_ == 1 ? 0 : map_.channel_of(addr)].ctl->store();
 }
 
@@ -272,9 +268,7 @@ void MemorySystem::deliver(u32 c, MemoryRequest req) {
 
 void MemorySystem::post_credit(u32 c, bool is_write) {
   engine_->post(c + 1, 0, sim::Priority::kDeviceComplete,
-                sim::ShardedEngine::Message([this, c, is_write] {
-                  release_credit(c, is_write);
-                }));
+                [this, c, is_write] { release_credit(c, is_write); });
 }
 
 void MemorySystem::release_credit(u32 c, bool is_write) {

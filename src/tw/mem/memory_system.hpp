@@ -155,8 +155,14 @@ class MemorySystem : public MemoryInterface {
     return c * 2 + (is_write ? 1 : 0);
   }
 
+  /// Spend one of channel c's credits on `req` and post it across the
+  /// XBar. Refused (false, `req` untouched) when the pool is empty.
+  bool send(u32 c, MemoryRequest& req);
   /// Hand a credited request to channel c's controller (channel domain).
   void deliver(u32 c, MemoryRequest req);
+  /// Post a completed request back to the front (channel domain), where
+  /// it releases its credit and reaches the completion dispatch.
+  void post_completion(u32 c, const MemoryRequest& req);
   void post_credit(u32 c, bool is_write);
   void release_credit(u32 c, bool is_write);
   /// Channel c's PCM side has room again: let its DRAM tier forward and
@@ -176,6 +182,11 @@ class MemorySystem : public MemoryInterface {
   u32 channels_;
   std::vector<Channel> chans_;
   std::unique_ptr<sim::ShardedEngine> engine_;  ///< null for channels == 1
+  /// Requests crossing the XBar, either way; each message captures
+  /// {this, c, slot}. Parked from one domain and taken in another, which
+  /// is safe only because ShardedEngine runs every domain on the calling
+  /// thread.
+  RequestPool transit_;
   /// DRAM front tiers, one per channel (empty when dram.enabled=false so
   /// the disabled configuration is a pure passthrough).
   std::vector<std::unique_ptr<DramTier>> tiers_;

@@ -1,6 +1,7 @@
 #pragma once
 // Memory request type exchanged between the CPU model and the controller.
 
+#include "tw/common/chunk_pool.hpp"
 #include "tw/common/types.hpp"
 #include "tw/pcm/line.hpp"
 
@@ -22,5 +23,11 @@ struct MemoryRequest {
 
   bool is_write() const { return type == ReqType::kWrite; }
 };
+
+/// Requests parked while an event is on its way to them (a read result,
+/// a DRAM hit, a request in XBar transit); the event captures the id.
+/// Chunks of 16 (about 5 KB): a pool rarely holds more than a queue's
+/// worth, and a 256-entry chunk would cost 80 KB per pool.
+using RequestPool = ChunkPool<MemoryRequest, 4>;
 
 }  // namespace tw::mem

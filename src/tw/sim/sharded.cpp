@@ -16,28 +16,13 @@ void ShardedEngine::run_domain(u32 di, Tick limit) {
   trace::g_tls = saved;
 }
 
-void ShardedEngine::fire_message(u32 dst, u32 slot) {
-  Domain& d = domains_[dst];
-  Message msg = std::move(d.inbox[slot]);
-  d.free_slots.push_back(slot);
-  msg();
-}
-
-void ShardedEngine::deliver(Pending& p) {
-  Domain& d = domains_[p.dst];
-  u32 slot;
-  if (!d.free_slots.empty()) {
-    slot = d.free_slots.back();
-    d.free_slots.pop_back();
-    d.inbox[slot] = std::move(p.msg);
-  } else {
-    slot = static_cast<u32>(d.inbox.size());
-    d.inbox.push_back(std::move(p.msg));
+void ShardedEngine::drain_outboxes() {
+  for (Domain& src : domains_) {
+    for (Pending& p : src.outbox) {
+      domains_[p.dst].sim->schedule_at(p.fire, std::move(p.msg), p.prio);
+    }
+    src.outbox.clear();
   }
-  ShardedEngine* self = this;
-  const u32 dst = p.dst;
-  d.sim->schedule_at(
-      p.fire, [self, dst, slot] { self->fire_message(dst, slot); }, p.prio);
 }
 
 u64 ShardedEngine::run(Tick limit) {
@@ -47,10 +32,7 @@ u64 ShardedEngine::run(Tick limit) {
     // Deliver messages posted from outside any window (e.g. front-side
     // enqueues made between run() calls) so the peek below can see them.
     // Mid-loop this is a no-op: phase 3 already drained every outbox.
-    for (u32 s = 0; s < n; ++s) {
-      for (Pending& p : domains_[s].outbox) deliver(p);
-      domains_[s].outbox.clear();
-    }
+    drain_outboxes();
     // Fast-forward to the earliest pending event anywhere, then run the
     // aligned window containing it. Idle stretches cost one peek, not a
     // quantum-by-quantum crawl.
@@ -70,10 +52,7 @@ u64 ShardedEngine::run(Tick limit) {
     // Phase 3: barrier. Outboxes drain in fixed source order, so
     // destination sequence numbers never depend on domain run order.
     // Every fire tick is >= wstart + quantum > wend, hence >= dst.now().
-    for (u32 s = 0; s < n; ++s) {
-      for (Pending& p : domains_[s].outbox) deliver(p);
-      domains_[s].outbox.clear();
-    }
+    drain_outboxes();
   }
   // Advance every clock to the limit (fires nothing: all remaining
   // events are strictly later).

@@ -26,7 +26,7 @@
 
 #include <vector>
 
-#include "tw/common/inline_function.hpp"
+#include "tw/common/assert.hpp"
 #include "tw/common/types.hpp"
 #include "tw/sim/simulator.hpp"
 #include "tw/trace/emit.hpp"
@@ -35,14 +35,15 @@ namespace tw::sim {
 
 class ShardedEngine {
  public:
-  /// Cross-domain message payload. Heap capture is allowed (a routed
-  /// MemoryRequest exceeds the simulator's inline budget); the simulator
-  /// event itself only captures {engine, domain, slot}.
-  using Message = BasicInlineFunction<64, true>;
+  /// Cross-domain message: a plain destination event, delivered as is.
+  /// A payload too large for its 48 B capture (a routed MemoryRequest)
+  /// is parked by the sender, and the message captures the slot id.
+  using Message = Simulator::Callback;
 
   /// quantum: window width in ticks == modeled XBar latency (>= 1).
-  explicit ShardedEngine(Tick quantum)
-      : quantum_(quantum == 0 ? 1 : quantum) {}
+  explicit ShardedEngine(Tick quantum) : quantum_(quantum) {
+    TW_EXPECTS(quantum >= 1);
+  }
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
@@ -97,14 +98,12 @@ class ShardedEngine {
     Simulator* sim = nullptr;
     trace::TraceRing* ring = nullptr;
     u32 mask = 0;
-    std::vector<Message> inbox;     ///< parked messages, indexed by slot
-    std::vector<u32> free_slots;    ///< recycled inbox slots
-    std::vector<Pending> outbox;    ///< messages sent this window
+    std::vector<Pending> outbox;  ///< messages sent this window
   };
 
   void run_domain(u32 d, Tick limit);
-  void deliver(Pending& p);
-  void fire_message(u32 dst, u32 slot);
+  /// Schedule every outbox message on its destination, sources in order.
+  void drain_outboxes();
 
   std::vector<Domain> domains_;
   Tick quantum_;

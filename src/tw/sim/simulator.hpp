@@ -50,12 +50,13 @@ enum class Priority : u8 {
 class Simulator {
  public:
   /// Inline capture budget for event callbacks. Large state (e.g. a full
-  /// MemoryRequest) must live in pooled component state with the callback
-  /// capturing an index — see Controller's read-slot pool.
+  /// MemoryRequest) is parked in a ChunkPool and the callback captures
+  /// its id — see Controller's read results and MemorySystem's transit
+  /// pool.
   static constexpr std::size_t kCallbackCapacity = 48;
 
   /// Move-only inline callback; oversized captures fail to compile.
-  using Callback = BasicInlineFunction<kCallbackCapacity, false>;
+  using Callback = BasicInlineFunction<kCallbackCapacity>;
 
   /// Invoked immediately before each event's callback runs, with the
   /// event's tick and the running executed-event count. Used by the

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -11,6 +12,7 @@
 
 #include "tw/common/assert.hpp"
 #include "tw/common/bits.hpp"
+#include "tw/common/chunk_pool.hpp"
 #include "tw/common/csv.hpp"
 #include "tw/common/intrusive_list.hpp"
 #include "tw/common/parallel.hpp"
@@ -470,6 +472,38 @@ TEST(Table, NumericRightAligned) {
 TEST(Table, EmptyTableRendersNothing) {
   AsciiTable t;
   EXPECT_TRUE(t.to_string().empty());
+}
+
+TEST(ChunkPool, PutTakeRecyclesLastFreedFirst) {
+  // Four slots per chunk, so twelve values span three chunks. The values
+  // are move-only: put() and take() move, never copy.
+  ChunkPool<std::unique_ptr<int>, 2> pool;
+  std::vector<u32> ids;
+  for (int v = 0; v < 12; ++v) ids.push_back(pool.put(std::make_unique<int>(v)));
+  for (u32 i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);  // dense ids
+  EXPECT_EQ(pool.live(), 12u);
+
+  // A reference taken in the first chunk survives growth by more chunks.
+  std::unique_ptr<int>& first = pool[ids[1]];
+  const int* first_value = first.get();
+  for (int v = 12; v < 20; ++v) ids.push_back(pool.put(std::make_unique<int>(v)));
+  EXPECT_EQ(&first, &pool[ids[1]]);
+  EXPECT_EQ(first.get(), first_value);
+  EXPECT_EQ(pool.live(), 20u);
+
+  // take() moves the value out and frees the slot.
+  EXPECT_EQ(*pool.take(ids[3]), 3);
+  EXPECT_EQ(*pool.take(ids[17]), 17);
+  EXPECT_EQ(pool.live(), 18u);
+
+  // Freed slots come back last-freed first, then the pool appends again.
+  EXPECT_EQ(pool.put(std::make_unique<int>(100)), ids[17]);
+  EXPECT_EQ(pool.put(std::make_unique<int>(101)), ids[3]);
+  EXPECT_EQ(pool.put(std::make_unique<int>(102)), 20u);
+  EXPECT_EQ(*pool[ids[17]], 100);
+  EXPECT_EQ(*pool[ids[3]], 101);
+  EXPECT_EQ(pool.live(), 21u);
+  EXPECT_EQ(pool.allocated(), 21u);
 }
 
 struct ListNode {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "tw/common/assert.hpp"
 #include "tw/core/factory.hpp"
 #include "tw/cpu/multicore.hpp"
 #include "tw/harness/experiment.hpp"
@@ -395,34 +396,20 @@ TEST(StallFifo, NamedWakeRetriesOnlyItsPoolOldestFirst) {
   EXPECT_EQ(walk(1), (std::vector<Attempt>{by_pool[1][0],
                                            refused(by_pool[1][1])}));
 
-  // An anonymous wake walks every stalled core, oldest stall first across
-  // the pools; a pool that refuses leaves the walk.
-  std::vector<Attempt> left;  // still stalled, in stall order
-  for (const Attempt& a : stalls) {
-    if (a.core != by_pool[0][0].core && a.core != by_pool[1][0].core) {
-      left.push_back({a.core, a.pool, true});
-    }
+  // A memory that reports pools names them in every wake: an anonymous
+  // wake while cores wait on pools would leave them stalled for good, so
+  // it fails the run, naming the contract, and retries no one.
+  mem.open[0] = mem.open[1] = TwoPoolMemory::kMany;
+  const std::size_t before = mem.attempts.size();
+  try {
+    mem.wake(mem::MemoryInterface::kNoCreditPool);
+    ADD_FAILURE() << "an anonymous wake with pooled stalls was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("credit_pool contract"),
+              std::string::npos)
+        << e.what();
   }
-  mem.open[1] = TwoPoolMemory::kMany;
-  std::vector<Attempt> want;
-  bool pool0_refused = false;
-  for (const Attempt& a : left) {
-    if (a.pool == 1) {
-      want.push_back(a);
-    } else if (!pool0_refused) {
-      want.push_back(refused(a));
-      pool0_refused = true;
-    }
-  }
-  EXPECT_EQ(walk(mem::MemoryInterface::kNoCreditPool), want);
-  // With both pools open it reaches every core still stalled.
-  mem.open[0] = TwoPoolMemory::kMany;
-  want.clear();
-  for (const Attempt& a : left) {
-    if (a.pool == 0) want.push_back(a);
-  }
-  EXPECT_EQ(walk(mem::MemoryInterface::kNoCreditPool), want);
-  EXPECT_TRUE(walk(mem::MemoryInterface::kNoCreditPool).empty());
+  EXPECT_EQ(mem.attempts.size(), before);
 }
 
 TEST(Core, StartTwiceRejected) {

@@ -4,10 +4,13 @@
 
 #include <compare>
 #include <set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "tw/common/assert.hpp"
 #include "tw/common/rng.hpp"
+#include "tw/sim/sharded.hpp"
 #include "tw/sim/simulator.hpp"
 
 namespace tw::sim {
@@ -267,6 +270,108 @@ TEST(Simulator, RandomScheduleMatchesReferenceQueue) {
 }
 
 // ----------------------------------------------------------------- clock --
+// ---------------------------------------------------------- ShardedEngine --
+
+// A message is a plain destination event, with the simulator's 48 B
+// heap-free capture.
+static_assert(std::is_same_v<ShardedEngine::Message, Simulator::Callback>);
+
+/// Three domains (front + two channels) under a 20-tick quantum.
+struct EngineFixture {
+  static constexpr Tick kQ = 20;
+  Simulator sims[3];
+  ShardedEngine engine{kQ};
+  EngineFixture() {
+    for (Simulator& s : sims) engine.add_domain(s);
+  }
+};
+
+TEST(ShardedEngine, MessageFiresAtSendTickPlusQuantum) {
+  EngineFixture f;
+  std::vector<std::pair<u32, Tick>> fired;  // (domain, tick)
+  f.sims[0].schedule_at(5, [&] {
+    f.engine.post(0, 2, Priority::kDefault, [&] {
+      fired.push_back({2, f.sims[2].now()});
+      // And back from the channel, one more quantum later.
+      f.engine.post(2, 0, Priority::kDefault,
+                    [&] { fired.push_back({0, f.sims[0].now()}); });
+    });
+  });
+  f.engine.run(kTickMax);
+  EXPECT_EQ(fired, (std::vector<std::pair<u32, Tick>>{
+                       {2, 5 + EngineFixture::kQ},
+                       {0, 5 + 2 * EngineFixture::kQ}}));
+}
+
+TEST(ShardedEngine, EqualFireAndPriorityFireInSourceOrder) {
+  // Two messages fire at the same (tick, priority) on the front. The
+  // outboxes drain in source order, so domain 1's fires first: when
+  // domain 2 posts first (between runs), and when both post from inside
+  // the same window.
+  EngineFixture f;
+  std::vector<std::pair<char, Tick>> fired;
+  const auto from = [&](char src) {
+    return [&, src] { fired.push_back({src, f.sims[0].now()}); };
+  };
+  f.engine.post(2, 0, Priority::kCpu, from('2'));
+  f.engine.post(1, 0, Priority::kCpu, from('1'));
+  f.engine.run(kTickMax);
+  const Tick q = EngineFixture::kQ;
+  EXPECT_EQ(fired, (std::vector<std::pair<char, Tick>>{{'1', q}, {'2', q}}));
+
+  fired.clear();
+  const Tick t = 3 * q + 7;
+  f.sims[2].schedule_at(
+      t, [&] { f.engine.post(2, 0, Priority::kCpu, from('2')); });
+  f.sims[1].schedule_at(
+      t, [&] { f.engine.post(1, 0, Priority::kCpu, from('1')); });
+  f.engine.run(kTickMax);
+  EXPECT_EQ(fired,
+            (std::vector<std::pair<char, Tick>>{{'1', t + q}, {'2', t + q}}));
+}
+
+TEST(ShardedEngine, MessagePostedBetweenRunsIsDelivered) {
+  EngineFixture f;
+  f.engine.run(100);  // nothing pending: the clocks just advance
+  Tick fired_at = 0;
+  f.engine.post(0, 1, Priority::kController,
+                [&] { fired_at = f.sims[1].now(); });
+  EXPECT_EQ(f.engine.run(kTickMax), 1u);
+  EXPECT_EQ(fired_at, 100 + EngineFixture::kQ);
+}
+
+TEST(ShardedEngine, RunToLimitLeavesEveryClockAtLimit) {
+  EngineFixture f;
+  bool late_fired = false;
+  f.sims[1].schedule_at(50, [] {});
+  f.sims[2].schedule_at(900, [&] { late_fired = true; });
+  EXPECT_EQ(f.engine.run(500), 1u);
+  for (const Simulator& s : f.sims) EXPECT_EQ(s.now(), 500u);
+  EXPECT_FALSE(late_fired);
+  EXPECT_EQ(f.engine.run(kTickMax), 1u);
+  EXPECT_TRUE(late_fired);
+}
+
+TEST(ShardedEngine, ExecutedTotalCountsEveryDomain) {
+  EngineFixture f;
+  f.sims[0].schedule_at(1, [] {});
+  f.sims[0].schedule_at(2, [] {});
+  f.sims[1].schedule_at(3, [] {});
+  f.sims[2].schedule_at(4, [&] {
+    f.engine.post(2, 1, Priority::kDefault, [] {});  // one more on 1
+  });
+  EXPECT_EQ(f.engine.run(kTickMax), 5u);
+  EXPECT_EQ(f.engine.executed_total(), 5u);
+  EXPECT_EQ(f.sims[0].executed(), 2u);
+  EXPECT_EQ(f.sims[1].executed(), 2u);
+  EXPECT_EQ(f.sims[2].executed(), 1u);
+}
+
+TEST(ShardedEngine, ZeroQuantumRejected) {
+  EXPECT_THROW(ShardedEngine{0}, ContractViolation);
+  EXPECT_EQ(ShardedEngine{1}.quantum(), 1u);
+}
+
 TEST(Clock, TwoGigahertz) {
   Clock c(500);  // 500 ps
   EXPECT_DOUBLE_EQ(c.freq_ghz(), 2.0);
