@@ -19,14 +19,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "tw/fault/fault.hpp"
+#include "tw/harness/config_file.hpp"
 #include "tw/harness/experiment.hpp"
 #include "tw/pcm/params.hpp"
 #include "tw/workload/profiles.hpp"
@@ -165,9 +168,10 @@ std::map<std::string, double> run_golden_matrix() {
 
 /// Minimal writer/reader for the flat {"key": value, ...} JSON object the
 /// goldens use — full 17-digit round-trip precision.
-void write_golden(const std::map<std::string, double>& flat) {
-  std::ofstream out(kGoldenFile);
-  ASSERT_TRUE(out.is_open()) << kGoldenFile;
+void write_golden(const std::map<std::string, double>& flat,
+                  const char* path = kGoldenFile) {
+  std::ofstream out(path);
+  ASSERT_TRUE(out.is_open()) << path;
   out << "{\n";
   std::size_t i = 0;
   for (const auto& [key, value] : flat) {
@@ -178,9 +182,9 @@ void write_golden(const std::map<std::string, double>& flat) {
   out << "}\n";
 }
 
-std::map<std::string, double> read_golden() {
+std::map<std::string, double> read_golden(const char* path = kGoldenFile) {
   std::map<std::string, double> flat;
-  std::ifstream in(kGoldenFile);
+  std::ifstream in(path);
   if (!in.is_open()) return flat;
   std::string line;
   while (std::getline(in, line)) {
@@ -293,6 +297,144 @@ TEST(GoldenFigures, TetrisRanksFirstOnIpc) {
   for (const auto& [scheme, g] : geomean) {
     if (scheme == "tetris") continue;
     EXPECT_GT(tetris, g) << "tetris IPC geomean beaten by " << scheme;
+  }
+}
+
+// -- Axis cells -------------------------------------------------------------
+//
+// One cell per axis of the request payload and the sharded XBar path (line
+// width, channel count, DRAM tier, faults + PALP, encoder batching), in
+// results/golden_axes.json keyed "<label>.<metric>". Each records every
+// kMetrics entry and a hash of its Chrome trace with every category on,
+// the kernel's included, so a change to either the payload copies or the
+// domain schedule that moves a single event or trace byte fails here. All
+// values are compared exactly; regenerate like golden_figs.json.
+
+constexpr const char* kAxesFile = TW_GOLDEN_DIR "/golden_axes.json";
+
+struct AxisCell {
+  const char* label;
+  const char* workload;
+  void (*tweak)(harness::SystemConfig&);
+};
+
+const std::vector<AxisCell>& axis_cells() {
+  static const std::vector<AxisCell> kCells = {
+      {"8ch-line-batch4", "vips",
+       [](harness::SystemConfig& c) {
+         c.cores = 8;
+         c.instructions_per_core = 100'000;
+         c.pcm.geometry.channels = 8;
+         c.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kLine;
+         c.batch.max_lines = 4;
+       }},
+      {"2ch-dram-mac8mb", "vips",
+       [](harness::SystemConfig& c) {
+         c.cores = 4;
+         c.instructions_per_core = 200'000;
+         c.pcm.geometry.channels = 2;
+         c.dram.enabled = true;
+         c.dram.capacity_bytes = u64{8} * 1024 * 1024;
+         c.dram.policy = mem::DramPolicy::kMac;
+       }},
+      // Only evictions reach PCM as writes: the 8 MB tier absorbs every
+      // write of a run this short, the 32 KB one forces writebacks.
+      {"2ch-dram-mac32kb", "vips",
+       [](harness::SystemConfig& c) {
+         c.cores = 4;
+         c.instructions_per_core = 100'000;
+         c.pcm.geometry.channels = 2;
+         c.dram.enabled = true;
+         c.dram.capacity_bytes = u64{32} * 1024;
+         c.dram.policy = mem::DramPolicy::kMac;
+       }},
+      {"4ch-light-faults-palp4", "vips",
+       [](harness::SystemConfig& c) {
+         c.cores = 4;
+         c.instructions_per_core = 100'000;
+         c.pcm.geometry.channels = 4;
+         c.pcm.geometry.subarrays_per_bank = 4;
+         c.controller.palp.enabled = true;
+         c.fault = fault::profile_config(fault::FaultProfile::kLight);
+       }},
+      {"wire-batch4", "vips",
+       [](harness::SystemConfig& c) {
+         c.encode.kind = encode::EncoderKind::kWire;
+         c.batch.max_lines = 4;
+       }},
+      {"server-256b", "vips",
+       [](harness::SystemConfig& c) {
+         const harness::SystemConfig file = harness::load_system_config(
+             TW_GOLDEN_DIR "/../configs/server_256b.cfg");
+         const u64 instructions = c.instructions_per_core;
+         c = file;
+         c.seed = 42;
+         c.instructions_per_core = instructions;
+         // Moves the gap within a run this short (the file's 128 does not).
+         c.controller.start_gap.gap_write_interval = 4;
+       }},
+  };
+  return kCells;
+}
+
+/// FNV-1a over `bytes`, cut to 53 bits so the JSON double holds it exactly.
+double hash53(const std::string& bytes) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (const char ch : bytes) {
+    h = (h ^ static_cast<u8>(ch)) * 0x100000001b3ull;
+  }
+  return static_cast<double>(h & ((u64{1} << 53) - 1));
+}
+
+std::map<std::string, double> run_axis_cells() {
+  std::map<std::string, double> flat;
+  for (const AxisCell& cell : axis_cells()) {
+    harness::SystemConfig cfg = golden_config();
+    cell.tweak(cfg);
+    const std::string path = testing::TempDir() + "tw_golden_axes_" +
+                             cell.label + ".json";
+    cfg.trace.chrome_path = path;
+    cfg.trace.categories = trace::kAllCategories;
+    cfg.trace.ring_capacity = u64{1} << 18;
+    const auto m = harness::run_system(
+        cfg, workload::profile_by_name(cell.workload),
+        schemes::SchemeKind::kTetris);
+    EXPECT_TRUE(m.completed) << cell.label;
+    EXPECT_GT(m.trace_records, 0u) << cell.label;
+    EXPECT_EQ(m.trace_dropped, 0u) << cell.label;
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.is_open()) << path;
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    std::remove(path.c_str());
+    // The manifest (tool version, git sha, config hash) trails the
+    // events; only the events are the cell's behaviour.
+    const auto manifest = bytes.rfind("\n],\"displayTimeUnit\"");
+    EXPECT_NE(manifest, std::string::npos) << cell.label;
+    const std::string prefix = std::string(cell.label) + ".";
+    for (const harness::MetricDef& d : harness::kMetrics) {
+      flat[prefix + std::string(d.name)] = d.get(m);
+    }
+    flat[prefix + "trace_hash53"] = hash53(bytes.substr(0, manifest));
+  }
+  return flat;
+}
+
+TEST(GoldenAxes, CellsMatchCommittedBaseline) {
+  const auto measured = run_axis_cells();
+  if (std::getenv("TW_REGEN_GOLDEN") != nullptr) {
+    write_golden(measured, kAxesFile);
+    GTEST_SKIP() << "golden baseline regenerated at " << kAxesFile;
+  }
+  const auto golden = read_golden(kAxesFile);
+  ASSERT_FALSE(golden.empty())
+      << "missing " << kAxesFile << " — regenerate with TW_REGEN_GOLDEN=1";
+  ASSERT_EQ(measured.size(), golden.size());
+  for (const auto& [key, got] : measured) {
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end()) << "scalar missing from baseline: " << key;
+    EXPECT_EQ(got, it->second) << key;
   }
 }
 
