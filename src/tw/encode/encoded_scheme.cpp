@@ -2,18 +2,9 @@
 
 #include <array>
 #include <utility>
-
-#include "tw/common/inline_vec.hpp"
+#include <vector>
 
 namespace tw::encode {
-
-namespace {
-// Batched writes stage one coded line + tag set per input line; 16 inline
-// slots match the controller's own batch staging, spilling gracefully for
-// oversized ablation batches.
-constexpr std::size_t kBatchInline = 16;
-using MetaArray = std::array<u8, pcm::kMaxUnitsPerLine>;
-}  // namespace
 
 EncodedScheme::EncodedScheme(std::unique_ptr<schemes::WriteScheme> inner,
                              std::unique_ptr<Encoder> enc)
@@ -97,20 +88,20 @@ schemes::BatchServicePlan EncodedScheme::plan_batch(
     std::span<pcm::LineBuf*> lines, std::span<const pcm::LogicalLine> datas,
     std::optional<std::span<const u32>> partitions) const {
   TW_EXPECTS(lines.size() == datas.size());
-  InlineVec<pcm::LogicalLine, kBatchInline> coded;
-  InlineVec<MetaArray, kBatchInline> metas;
-  coded.resize_uninitialized(datas.size());
-  metas.resize_uninitialized(datas.size());
+  std::vector<pcm::LogicalLine>& coded = coded_scratch_;
+  std::vector<MetaArray>& metas = meta_scratch_;
+  coded.clear();
+  metas.resize(datas.size());
   for (std::size_t k = 0; k < datas.size(); ++k) {
-    coded.data()[k] = pcm::LogicalLine(datas[k].units());
-    encode_line(*lines[k], datas[k], coded.data()[k], metas.data()[k].data());
+    encode_line(*lines[k], datas[k], coded.emplace_back(datas[k].units()),
+                metas[k].data());
   }
   const std::span<const pcm::LogicalLine> cs{coded.data(), coded.size()};
   schemes::BatchServicePlan batch =
       partitions ? inner_->plan_write_batch(lines, cs, *partitions)
                  : inner_->plan_write_batch(lines, cs);
   for (std::size_t k = 0; k < datas.size(); ++k) {
-    finish_line(*lines[k], batch.per_line[k], metas.data()[k].data());
+    finish_line(*lines[k], batch.per_line[k], metas[k].data());
   }
   return batch;
 }

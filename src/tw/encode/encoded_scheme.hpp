@@ -7,14 +7,17 @@
 // tags in the line's meta cells, and reverses the code on the read path
 // via decode_stored().
 //
-// Hot-path discipline: per-write staging lives in stack arrays / InlineVec
-// (no heap in steady state), and encoding is a pure function of the line
-// state, so a fault-ladder retry that re-plans the same logical data
-// re-encodes to the identical coded image.
+// Hot-path discipline: per-write staging lives in stack arrays and
+// per-batch staging in reused member buffers (no heap in steady state),
+// and encoding is a pure function of the line state, so a fault-ladder
+// retry that re-plans the same logical data re-encodes to the identical
+// coded image.
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "tw/encode/encoder.hpp"
 #include "tw/schemes/write_scheme.hpp"
@@ -61,6 +64,9 @@ class EncodedScheme final : public schemes::WriteScheme {
   const Encoder& encoder() const { return *enc_; }
 
  private:
+  /// One line's encoder tags, one per data unit.
+  using MetaArray = std::array<u8, pcm::kMaxUnitsPerLine>;
+
   /// Stage the coded image of `next` over `line` into `coded`/`metas`.
   void encode_line(const pcm::LineBuf& line, const pcm::LogicalLine& next,
                    pcm::LogicalLine& coded, u8* metas) const;
@@ -80,6 +86,12 @@ class EncodedScheme final : public schemes::WriteScheme {
   std::unique_ptr<schemes::WriteScheme> inner_;
   std::unique_ptr<Encoder> enc_;
   std::string name_;  // "<inner>+<encoder>", cached for the hot path
+  /// plan_batch's coded images and tag sets, one per member, reused so
+  /// that staging a batch of any size allocates nothing once the buffers
+  /// have grown to it. Planning is single-threaded per scheme instance
+  /// (each channel owns its scheme).
+  mutable std::vector<pcm::LogicalLine> coded_scratch_;
+  mutable std::vector<MetaArray> meta_scratch_;
 };
 
 /// Wrap `inner` with the configured encoder pre-stage. kNone returns

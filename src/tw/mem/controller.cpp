@@ -205,13 +205,13 @@ bool Controller::enqueue(MemoryRequest req) {
       const BucketList& list = write_by_bank_[at.bank];
       for (u32 id = list.head(); id != kNilIndex; id = list.next(nodes_, id)) {
         if (nodes_[id].req.addr == req.addr) {
-          nodes_[id].req.data = req.data;
           c_coalesced_.inc();
           if (trace::on<kCat>()) {
             trace::emit_instant(kCat, trace::Op::kWriteCoalesce,
                                 write_queue_track(cfg_.track_base), sim_.now(), req.id,
                                 nodes_[id].req.id);
           }
+          nodes_[id].req.data = std::move(req.data);
           return true;
         }
       }
@@ -877,13 +877,14 @@ void Controller::issue_write_batch(u32 head) {
   const Tick now = sim_.now();
   const u32 bank = nodes_[head].at.bank;
 
-  // Scratch for the scheme call: batches are bounded by write_batch
-  // (small), so these stay in inline storage on the steady-state path.
-  // Member placements are read once, before any member's gap move.
+  // Scratch for the scheme call: ids, lines and placements stay inline
+  // up to 16 members; the payloads go to the reused batch_datas_. Member
+  // placements are read once, before any member's gap move.
   InlineVec<u32, 16> ids;
   InlineVec<pcm::LineBuf*, 16> lines;
-  InlineVec<pcm::LogicalLine, 16> datas;
   InlineVec<Placement, 16> at;
+  std::vector<pcm::LogicalLine>& datas = batch_datas_;
+  datas.clear();
   for (u32 id = head; id != kNilIndex; id = nodes_[id].by_bucket.next) {
     TW_ASSERT(nodes_[id].at.bank == bank);
     ids.push_back(id);

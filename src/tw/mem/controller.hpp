@@ -402,6 +402,11 @@ class Controller : public MemoryInterface {
   // 48 B inline-callback budget (and allocation-free).
   RequestPool read_results_;
 
+  /// Batch members' payloads, staged contiguously for the scheme call.
+  /// Reused across batches: write_batch is unbounded, and a reused
+  /// buffer keeps every batch size allocation-free in steady state.
+  std::vector<pcm::LogicalLine> batch_datas_;
+
   ReadCallback on_read_;
   WriteCallback on_write_;
   PoolSpaceCallback on_space_;

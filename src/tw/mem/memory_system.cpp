@@ -145,20 +145,23 @@ bool MemorySystem::send(u32 c, MemoryRequest& req) {
   --pool.avail;
   const u32 slot = transit_.put(std::move(req));
   engine_->post(0, c + 1, sim::Priority::kController,
-                [this, c, slot] { deliver(c, transit_.take(slot)); });
+                [this, c, slot] { deliver(c, slot); });
   return true;
 }
 
 void MemorySystem::post_completion(u32 c, const MemoryRequest& req) {
   const u32 slot = transit_.put(req);
   engine_->post(c + 1, 0, sim::Priority::kDeviceComplete, [this, c, slot] {
-    const MemoryRequest done = transit_.take(slot);
+    // Completed in place: the slot is held until the callbacks return, so
+    // a send they trigger parks its request elsewhere.
+    const MemoryRequest& done = transit_[slot];
     release_credit(c, done.is_write());
     if (done.is_write()) {
       front_write_complete(c, done);
     } else {
       front_read_complete(c, done);
     }
+    transit_.release(slot);
   });
 }
 
@@ -248,13 +251,15 @@ void MemorySystem::bind_trace(trace::Tracer& tracer) {
   }
 }
 
-void MemorySystem::deliver(u32 c, MemoryRequest req) {
+void MemorySystem::deliver(u32 c, u32 slot) {
   // Every queued request holds a credit (see the header), so a credited
   // delivery always finds room; a refusal means the accounting drifted.
   Controller& ctl = *chans_[c].ctl;
-  const bool is_write = req.is_write();
+  const bool is_write = transit_[slot].is_write();
   const u32 depth_before = ctl.write_queue_depth();
-  if (!ctl.enqueue(std::move(req))) {
+  const bool accepted = ctl.enqueue(std::move(transit_[slot]));
+  transit_.release(slot);
+  if (!accepted) {
     TW_FAIL(("channel " + std::to_string(c) + " refused a credited " +
              (is_write ? "write" : "read") + " (credit accounting drifted)")
                 .c_str());

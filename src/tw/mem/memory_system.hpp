@@ -158,8 +158,9 @@ class MemorySystem : public MemoryInterface {
   /// Spend one of channel c's credits on `req` and post it across the
   /// XBar. Refused (false, `req` untouched) when the pool is empty.
   bool send(u32 c, MemoryRequest& req);
-  /// Hand a credited request to channel c's controller (channel domain).
-  void deliver(u32 c, MemoryRequest req);
+  /// Hand the credited request parked in transit slot `slot` to channel
+  /// c's controller (channel domain), then free the slot.
+  void deliver(u32 c, u32 slot);
   /// Post a completed request back to the front (channel domain), where
   /// it releases its credit and reaches the completion dispatch.
   void post_completion(u32 c, const MemoryRequest& req);

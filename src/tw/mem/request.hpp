@@ -24,6 +24,10 @@ struct MemoryRequest {
   bool is_write() const { return type == ReqType::kWrite; }
 };
 
+// Requests are copied whole on their way from the core to the bank; the
+// payload already reserves the widest line, so nothing may grow it.
+static_assert(sizeof(MemoryRequest) <= 312);
+
 /// Requests parked while an event is on its way to them (a read result,
 /// a DRAM hit, a request in XBar transit); the event captures the id.
 /// Chunks of 16 (about 5 KB): a pool rarely holds more than a queue's

@@ -1,9 +1,14 @@
 #pragma once
-// Physical cache-line state as stored in the PCM array: per-data-unit cell
-// words plus the Flip-N-Write flip tag. A 64 B line of 64-bit units (the
-// paper's geometry) is stored inline; wider lines (max 32 units = 256 B)
-// keep their units in one heap block sized to the line.
+// Cache-line values. LineBuf is the physical state stored in the PCM
+// array: per-data-unit cell words plus the Flip-N-Write flip tag; a 64 B
+// line of 64-bit units (the paper's geometry) is stored inline, wider
+// lines (max 32 units = 256 B) keep their units in one heap block sized
+// to the line. LogicalLine is the de-inverted value a request carries:
+// one inline array of kMaxUnitsPerLine words, of which construction and
+// copies touch only the used ones (a fixed 64 B block up to 8 units,
+// nothing for a read's empty payload).
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstring>
@@ -152,12 +157,41 @@ class LineBuf {
 static_assert(sizeof(LineBuf) <= 96);
 
 /// A logical (already de-inverted) line value, as the CPU sees it.
+///
+/// Every MemoryRequest carries one, and a request is copied about ten
+/// times between the core and the bank, so construction and copies touch
+/// only the words the line uses: an empty line (a read's payload) none,
+/// a line of up to kInlineUnitsPerLine units (the paper's 64 B geometry)
+/// one fixed 64 B block, a wider line units() words. units_ sits ahead of
+/// the words, so a read's request stays within its first cache line.
+///
+/// Invariant: a line with units() >= 1 has determinate words
+/// [0, max(units(), kInlineUnitsPerLine)). Construction zeroes them, and
+/// every copy of such a line carries at least that many, so the fixed
+/// block copy never reads an indeterminate word. Words past that bound,
+/// and all words of an empty line, are never read.
 class LogicalLine {
  public:
-  LogicalLine() = default;
+  // User-provided (not `= default`) so that value-initialization does
+  // not zero the words.
+  LogicalLine() {}  // NOLINT(modernize-use-equals-default)
+
+  /// A line of `units` data units, every word zero.
   explicit LogicalLine(u32 units) : units_(units) {
     TW_EXPECTS(units >= 1 && units <= kMaxUnitsPerLine);
-    words_.fill(0);
+    std::memset(words_.data(), 0,
+                std::max(units, kInlineUnitsPerLine) * sizeof(u64));
+  }
+
+  // Moves copy too: the words are inline, and a moved-from line keeps
+  // its value.
+  LogicalLine(const LogicalLine& o) : units_(o.units_) { copy_words(o); }
+  LogicalLine& operator=(const LogicalLine& o) {
+    if (this != &o) {
+      units_ = o.units_;
+      copy_words(o);
+    }
+    return *this;
   }
 
   /// Reconstruct the logical view of a physical line.
@@ -180,15 +214,26 @@ class LogicalLine {
   std::span<u64> words_mut() { return {words_.data(), units_}; }
 
   bool operator==(const LogicalLine& o) const {
-    if (units_ != o.units_) return false;
-    for (u32 i = 0; i < units_; ++i)
-      if (words_[i] != o.words_[i]) return false;
-    return true;
+    return units_ == o.units_ &&
+           std::memcmp(words_.data(), o.words_.data(),
+                       units_ * sizeof(u64)) == 0;
   }
 
  private:
-  std::array<u64, kMaxUnitsPerLine> words_{};
+  /// Copy the determinate words of the invariant (units_ is o's).
+  void copy_words(const LogicalLine& o) {
+    if (units_ == 0) return;
+    if (units_ <= kInlineUnitsPerLine) {
+      // A constant size the compiler inlines as a few vector moves.
+      std::memcpy(words_.data(), o.words_.data(),
+                  kInlineUnitsPerLine * sizeof(u64));
+    } else {
+      std::memcpy(words_.data(), o.words_.data(), units_ * sizeof(u64));
+    }
+  }
+
   u32 units_ = 0;
+  std::array<u64, kMaxUnitsPerLine> words_;  ///< see the class invariant
 };
 
 }  // namespace tw::pcm

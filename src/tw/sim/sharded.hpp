@@ -19,6 +19,15 @@
 // events, and handing the channels to a thread pool (mutex, condvar wake,
 // barrier) cost more wall time per window than the channels' work.
 //
+// Which domains a window enters: the engine caches each domain's next
+// event tick (refreshed after the domain runs, lowered when a message is
+// delivered to it) and enters only the domains with an event due by the
+// window's end, front first, then channels in order. On a write storm
+// over 8 channels 59 % of the domain-windows have nothing due. A
+// skipped domain's clock still advances to the window's end (no queue
+// pop), exactly where running it would have left it, so everything it
+// stamps later with now() is unchanged.
+//
 // Trace binding: each domain can be bound to a pre-created TraceRing;
 // the engine installs it into the thread-local emission state around the
 // domain's quantum, so each domain's records land in its own ring (rings
@@ -74,7 +83,9 @@ class ShardedEngine {
   }
 
   /// Advance every domain to `limit` (window-by-window). Returns the
-  /// number of events executed across all domains by this call.
+  /// number of events executed across all domains by this call. While it
+  /// runs, a domain's simulator may only be scheduled on by the domain's
+  /// own events; other domains reach it through post().
   u64 run(Tick limit);
 
   Tick quantum() const { return quantum_; }
@@ -98,11 +109,15 @@ class ShardedEngine {
     Simulator* sim = nullptr;
     trace::TraceRing* ring = nullptr;
     u32 mask = 0;
+    /// sim->next_tick() as of the domain's last run, lowered by every
+    /// message delivered to it since.
+    Tick next = kTickMax;
     std::vector<Pending> outbox;  ///< messages sent this window
   };
 
   void run_domain(u32 d, Tick limit);
-  /// Schedule every outbox message on its destination, sources in order.
+  /// Schedule every outbox message on its destination, sources in order,
+  /// lowering each destination's cached next tick.
   void drain_outboxes();
 
   std::vector<Domain> domains_;

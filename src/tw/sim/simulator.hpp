@@ -17,8 +17,7 @@
 //     events beyond the horizon, migrated in when the wheel drains;
 //   * finding the next event is O(1): one bit per bucket, and a 256-bit
 //     summary with one bit per nonempty 64-bucket word, so a lookup
-//     reads at most 7 words even on an empty or sparse wheel (an idle
-//     channel domain peeked every window).
+//     reads at most 7 words even on an empty or sparse wheel.
 //
 // Ordering guarantee: events fire in strictly increasing
 // (tick, priority, insertion-sequence) order regardless of which level
@@ -89,6 +88,13 @@ class Simulator {
   /// Run until the event queue is empty or `limit` is reached.
   /// Returns the number of events executed.
   u64 run(Tick limit = kTickMax);
+
+  /// Move the clock forward to `t` without looking at the queue: what
+  /// run(t) does when no event is due by `t`, which the caller must know
+  /// (the sharded engine's cached next tick). Never moves the clock back.
+  void advance_to(Tick t) {
+    if (t > now_) now_ = t;
+  }
 
   /// Execute exactly one event (if any). Returns false when queue empty.
   bool step();

@@ -4,17 +4,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "tw/common/assert.hpp"
 #include "tw/common/rng.hpp"
+#include "tw/core/factory.hpp"
+#include "tw/encode/encoded_scheme.hpp"
+#include "tw/mem/address_map.hpp"
+#include "tw/mem/controller.hpp"
 #include "tw/pcm/array.hpp"
 #include "tw/pcm/bank.hpp"
 #include "tw/pcm/energy.hpp"
 #include "tw/pcm/line.hpp"
 #include "tw/pcm/params.hpp"
 #include "tw/pcm/wear.hpp"
+#include "tw/sim/simulator.hpp"
+#include "tw/stats/registry.hpp"
 
 namespace tw::pcm {
 namespace {
@@ -143,6 +151,192 @@ TEST(Line, CopiesAreDeepAndMovesEmptyTheSource) {
     EXPECT_EQ(c.cell(last), 1u);
     EXPECT_EQ(d.units(), 0u);  // NOLINT(bugprone-use-after-move)
   }
+}
+
+// -------------------------------------------------------- logical line --
+
+/// A line of `units` distinct nonzero words (default-constructed at 0).
+LogicalLine patterned(u32 units, u64 salt) {
+  if (units == 0) return LogicalLine{};
+  LogicalLine l(units);
+  for (u32 i = 0; i < units; ++i) {
+    l.set_word(i, (salt << 32) ^ (0x9E3779B97F4A7C15ull * (i + 1)));
+  }
+  return l;
+}
+
+void expect_same_words(const LogicalLine& got, const LogicalLine& want) {
+  ASSERT_EQ(got.units(), want.units());
+  for (u32 i = 0; i < want.units(); ++i) {
+    EXPECT_EQ(got.word(i), want.word(i)) << "word " << i;
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST(LogicalLine, CopyAssignAndMoveKeepUnitsAndEveryWord) {
+  // 0 (a read's payload), 1, the inline-copy edge 8 and 9, and the
+  // widest line: every value operation carries exactly the used words.
+  for (const u32 units : {0u, 1u, 8u, 9u, kMaxUnitsPerLine}) {
+    SCOPED_TRACE("units=" + std::to_string(units));
+    const LogicalLine src = patterned(units, 1);
+
+    const LogicalLine copy = src;  // NOLINT(performance-unnecessary-copy-*)
+    expect_same_words(copy, src);
+
+    // Assignment over every other width, narrower and wider.
+    for (const u32 from : {0u, 1u, 8u, 9u, kMaxUnitsPerLine}) {
+      LogicalLine dst = patterned(from, 2);
+      dst = src;
+      expect_same_words(dst, src);
+    }
+
+    LogicalLine self = src;
+    const LogicalLine& alias = self;
+    self = alias;  // self-assignment keeps the content
+    expect_same_words(self, src);
+
+    LogicalLine moved_from = src;
+    const LogicalLine moved = std::move(moved_from);
+    expect_same_words(moved, src);
+    LogicalLine move_dst = patterned(kMaxUnitsPerLine, 3);
+    LogicalLine move_src = src;
+    move_dst = std::move(move_src);
+    expect_same_words(move_dst, src);
+  }
+}
+
+TEST(LogicalLine, ConstructedLineIsZeroed) {
+  for (const u32 units : {1u, 8u, 9u, kMaxUnitsPerLine}) {
+    const LogicalLine l(units);
+    EXPECT_EQ(l.units(), units);
+    for (u32 i = 0; i < units; ++i) EXPECT_EQ(l.word(i), 0u);
+  }
+  EXPECT_EQ(LogicalLine{}.units(), 0u);
+  EXPECT_THROW((void)LogicalLine{}.word(0), ContractViolation);
+}
+
+TEST(LogicalLine, FromPhysicalRoundTrips) {
+  // Storing a logical line under any flip pattern and reading it back
+  // reconstructs every word, at every width.
+  for (const u32 units : {1u, 8u, 9u, kMaxUnitsPerLine}) {
+    const LogicalLine want = patterned(units, 4);
+    LineBuf phys(units);
+    for (u32 i = 0; i < units; ++i) {
+      phys.store_logical(i, want.word(i), (i % 3) == 1);
+    }
+    expect_same_words(LogicalLine::from_physical(phys), want);
+  }
+}
+
+/// FNV-1a over a stream of 64-bit values: one number that moves when any
+/// planned latency, pulse count or stored cell does.
+struct Digest {
+  u64 h = 0xcbf29ce484222325ull;
+  void add(u64 v) {
+    for (u32 b = 0; b < 8; ++b) h = (h ^ ((v >> (8 * b)) & 0xFF)) * 0x100000001b3ull;
+  }
+  void add_line(const LineBuf& l) {
+    for (const u64 w : l.cell_words()) add(w);
+    for (const bool f : l.flip_bits()) add(f ? 1 : 0);
+    for (const u8 m : l.meta_tags()) add(m);
+  }
+};
+
+PcmConfig wide_line_config() {
+  PcmConfig dev = table2_config();
+  dev.geometry.cache_line_bytes = 256;
+  return dev;
+}
+
+LogicalLine random_line(u32 units, Rng& rng) {
+  LogicalLine l(units);
+  for (u32 i = 0; i < units; ++i) l.set_word(i, rng.next());
+  return l;
+}
+
+// The digests below were recorded with the request payload that reserved
+// (and copied) all kMaxUnitsPerLine words and staged batches of more than
+// 16 lines in a heap-grown buffer; copying only the used words must plan
+// every batch identically.
+
+TEST(LogicalLine, WideControllerBatchPlansAsBefore) {
+  const PcmConfig dev = wide_line_config();
+  ASSERT_EQ(dev.geometry.units_per_line(), kMaxUnitsPerLine);
+  constexpr u32 kLines = 20;  // beyond any 16-entry inline staging
+  sim::Simulator sim;
+  stats::Registry reg;
+  const auto scheme = core::make_scheme(schemes::SchemeKind::kTetris, dev);
+  mem::ControllerConfig ccfg;
+  ccfg.drain = mem::ControllerConfig::DrainPolicy::kOpportunistic;
+  ccfg.write_batch = kLines;
+  ccfg.write_coalescing = false;
+  mem::Controller ctl(sim, dev, ccfg, *scheme, reg);
+
+  // kLines distinct lines of one bank, enqueued before the first dispatch.
+  const mem::AddressMap map(dev.geometry);
+  std::vector<Addr> addrs;
+  for (Addr a = 0; addrs.size() < kLines; a += dev.geometry.cache_line_bytes) {
+    if (map.flat_bank(a) == 0) addrs.push_back(a);
+  }
+  Rng rng(0x5EED);
+  for (const Addr a : addrs) {
+    mem::MemoryRequest r;
+    r.addr = a;
+    r.type = mem::ReqType::kWrite;
+    r.data = random_line(kMaxUnitsPerLine, rng);
+    ASSERT_TRUE(ctl.enqueue(std::move(r)));
+  }
+  sim.run();
+  ASSERT_TRUE(ctl.idle());
+  EXPECT_EQ(reg.counter("mem.writes_batched").value(), kLines);
+
+  Digest d;
+  d.add(sim.now());
+  d.add(sim.executed());
+  d.add(reg.counter("mem.writes").value());
+  for (const Addr a : addrs) d.add_line(ctl.store().line(a));
+  EXPECT_EQ(d.h, 2913405883855103527ull);
+}
+
+TEST(LogicalLine, WideEncodedBatchPlansAsBefore) {
+  const PcmConfig dev = wide_line_config();
+  constexpr u32 kLines = 20;
+  const auto wrapped = encode::wrap_scheme(
+      core::make_scheme(schemes::SchemeKind::kTetris, dev),
+      encode::EncoderKind::kWire);
+  Rng rng(0xC0DE);
+  std::vector<LineBuf> lines;
+  std::vector<LogicalLine> datas;
+  for (u32 k = 0; k < kLines; ++k) {
+    LineBuf l(kMaxUnitsPerLine);
+    for (u32 i = 0; i < kMaxUnitsPerLine; ++i) {
+      l.store_logical(i, rng.next(), false);
+    }
+    lines.push_back(std::move(l));
+    datas.push_back(random_line(kMaxUnitsPerLine, rng));
+  }
+  std::vector<LineBuf*> ptrs;
+  for (LineBuf& l : lines) ptrs.push_back(&l);
+  const schemes::BatchServicePlan bp = wrapped->plan_write_batch(
+      {ptrs.data(), ptrs.size()}, {datas.data(), datas.size()});
+  ASSERT_EQ(bp.per_line.size(), kLines);
+
+  Digest d;
+  d.add(bp.latency);
+  d.add(bp.packed_lines);
+  d.add(std::bit_cast<u64>(bp.occupancy));
+  for (u32 k = 0; k < kLines; ++k) {
+    const schemes::ServicePlan& p = bp.per_line[k];
+    d.add(p.latency);
+    d.add(p.programmed.sets);
+    d.add(p.programmed.resets);
+    d.add(p.flipped_units);
+    d.add(p.enc.coded_units);
+    d.add(p.enc.tag_bits);
+    d.add_line(lines[k]);
+    EXPECT_EQ(wrapped->decode_stored(lines[k]), datas[k]) << "line " << k;
+  }
+  EXPECT_EQ(d.h, 1491971142029152372ull);
 }
 
 // ---------------------------------------------------------------- array --

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <compare>
+#include <cstring>
+#include <functional>
 #include <set>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -12,6 +16,8 @@
 #include "tw/common/rng.hpp"
 #include "tw/sim/sharded.hpp"
 #include "tw/sim/simulator.hpp"
+#include "tw/trace/emit.hpp"
+#include "tw/trace/ring.hpp"
 
 namespace tw::sim {
 namespace {
@@ -365,6 +371,132 @@ TEST(ShardedEngine, ExecutedTotalCountsEveryDomain) {
   EXPECT_EQ(f.sims[0].executed(), 2u);
   EXPECT_EQ(f.sims[1].executed(), 2u);
   EXPECT_EQ(f.sims[2].executed(), 1u);
+}
+
+TEST(ShardedEngine, IdleDomainWokenByMessageFiresAtSendTickPlusQuantum) {
+  // The front works through a hundred windows while domains 1 and 2 have
+  // nothing due, then wakes domain 2; the message still fires at send
+  // tick + Q, and the clocks of the domains left idle reach the limit.
+  EngineFixture f;
+  constexpr int kSteps = 100;
+  constexpr Tick kStride = 3 * EngineFixture::kQ / 2;  // 30: a new window
+  Tick sent_at = 0;
+  Tick fired_at = 0;
+  int steps = 0;
+  std::function<void()> step = [&] {
+    if (++steps < kSteps) {
+      f.sims[0].schedule_in(kStride, [&] { step(); });
+      return;
+    }
+    sent_at = f.sims[0].now();
+    f.engine.post(0, 2, Priority::kController,
+                  [&] { fired_at = f.sims[2].now(); });
+  };
+  f.sims[0].schedule_at(7, [&] { step(); });
+  const Tick limit = 10'000;
+  EXPECT_EQ(f.engine.run(limit), static_cast<u64>(kSteps) + 1);
+  EXPECT_EQ(sent_at, 7 + (kSteps - 1) * kStride);
+  EXPECT_EQ(fired_at, sent_at + EngineFixture::kQ);
+  for (const Simulator& s : f.sims) EXPECT_EQ(s.now(), limit);
+}
+
+/// The engine loop that enters every domain in every window (the
+/// reference for skipping idle ones), over domains that post no messages:
+/// each window runs sims[0..n) in order with its ring bound, then every
+/// clock advances to `limit`.
+void run_entering_every_domain(Simulator* sims, trace::TraceRing* rings,
+                               u32 n, Tick q, Tick limit) {
+  const auto run_one = [&](u32 d, Tick until) {
+    const trace::ThreadState saved = trace::g_tls;
+    trace::g_tls.ring = &rings[d];
+    trace::g_tls.mask = trace::kAllCategories;
+    sims[d].run(until);
+    trace::g_tls = saved;
+  };
+  for (;;) {
+    Tick next = kTickMax;
+    for (u32 d = 0; d < n; ++d) next = std::min(next, sims[d].next_tick());
+    if (next == kTickMax || next > limit) break;
+    const Tick wend = std::min(next / q * q + q - 1, limit);
+    for (u32 d = 0; d < n; ++d) run_one(d, wend);
+  }
+  if (limit != kTickMax) {
+    for (u32 d = 0; d < n; ++d) run_one(d, limit);
+  }
+}
+
+/// Events beyond the 1 us wheel horizon land on each domain's far list.
+/// Domain 2's first event (3 000 007) is far and due long after the other
+/// domains' last window before it, which ends at 2 500 019.
+void schedule_far_scenario(Simulator (&sims)[3]) {
+  for (const Tick t : {Tick{10}, Tick{400'003}, Tick{900'011},
+                       Tick{2'500'001}, Tick{3'200'009}}) {
+    sims[0].schedule_at(t, [] {});
+  }
+  sims[1].schedule_at(1'000, [&sims] {
+    sims[1].schedule_in(700'000, [] {});
+  });
+  sims[2].schedule_at(3'000'007, [&sims] {
+    sims[2].schedule_in(2'000'000, [] {});
+  });
+}
+
+std::vector<trace::TraceRecord> records(const trace::TraceRing& ring) {
+  std::vector<trace::TraceRecord> out;
+  ring.collect(out);
+  return out;
+}
+
+TEST(ShardedEngine, SkippedDomainFarMigrationMatchesEnteringEveryDomain) {
+  // A domain skipped while idle must still migrate its far list at the
+  // same now() — and emit the same kernel trace — as when every window
+  // enters it.
+  constexpr Tick kQ = EngineFixture::kQ;
+  constexpr Tick kLimit = 2'000'000;
+  Simulator ref[3];
+  trace::TraceRing ref_rings[3] = {trace::TraceRing(1024),
+                                   trace::TraceRing(1024),
+                                   trace::TraceRing(1024)};
+  schedule_far_scenario(ref);
+  run_entering_every_domain(ref, ref_rings, 3, kQ, kLimit);
+  run_entering_every_domain(ref, ref_rings, 3, kQ, kTickMax);
+
+  EngineFixture f;
+  trace::TraceRing rings[3] = {trace::TraceRing(1024), trace::TraceRing(1024),
+                               trace::TraceRing(1024)};
+  for (u32 d = 0; d < 3; ++d) {
+    f.engine.bind_trace(d, &rings[d], trace::kAllCategories);
+  }
+  schedule_far_scenario(f.sims);
+  f.engine.run(kLimit);
+  for (const Simulator& s : f.sims) EXPECT_EQ(s.now(), kLimit);
+  f.engine.run(kTickMax);
+
+  u64 ref_total = 0;
+  for (u32 d = 0; d < 3; ++d) {
+    SCOPED_TRACE("domain " + std::to_string(d));
+    ref_total += ref[d].executed();
+    EXPECT_EQ(f.sims[d].executed(), ref[d].executed());
+    EXPECT_EQ(f.sims[d].now(), ref[d].now());
+    const auto got = records(rings[d]);
+    const auto want = records(ref_rings[d]);
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(trace::TraceRecord)),
+              0);
+  }
+  EXPECT_EQ(f.engine.executed_total(), ref_total);
+  EXPECT_EQ(ref_total, 9u);
+
+  // Domain 2's first migration is stamped at the end of the last window
+  // before its event, which only the other domains had work in.
+  const auto far = records(rings[2]);
+  const auto first = std::find_if(far.begin(), far.end(), [](const auto& r) {
+    return r.op == trace::Op::kFarMigrate;
+  });
+  ASSERT_NE(first, far.end());
+  EXPECT_EQ(first->tick, 2'500'019u);
 }
 
 TEST(ShardedEngine, ZeroQuantumRejected) {
