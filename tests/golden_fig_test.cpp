@@ -302,12 +302,14 @@ TEST(GoldenFigures, TetrisRanksFirstOnIpc) {
 
 // -- Axis cells -------------------------------------------------------------
 //
-// One cell per axis of the request payload and the sharded XBar path (line
-// width, channel count, DRAM tier, faults + PALP, encoder batching), in
-// results/golden_axes.json keyed "<label>.<metric>". Each records every
-// kMetrics entry and a hash of its Chrome trace with every category on,
-// the kernel's included, so a change to either the payload copies or the
-// domain schedule that moves a single event or trace byte fails here. All
+// One cell per axis of the request payload, the stored line and the
+// sharded XBar path (line width, channel count and interleave, DRAM tier
+// and policy, faults + PALP, encoders, batching), plus one cell with all
+// of them on, in results/golden_axes.json keyed "<label>.<metric>". Each
+// records every kMetrics entry and a hash of its Chrome trace with every
+// category on, the kernel's included, so a change to the payload copies,
+// the line store or the domain schedule that moves a single event or
+// trace byte fails here. All
 // values are compared exactly; regenerate like golden_figs.json.
 
 constexpr const char* kAxesFile = TW_GOLDEN_DIR "/golden_axes.json";
@@ -316,6 +318,7 @@ struct AxisCell {
   const char* label;
   const char* workload;
   void (*tweak)(harness::SystemConfig&);
+  workload::ContentClass content = workload::ContentClass::kMutate;
 };
 
 const std::vector<AxisCell>& axis_cells() {
@@ -362,6 +365,46 @@ const std::vector<AxisCell>& axis_cells() {
          c.encode.kind = encode::EncoderKind::kWire;
          c.batch.max_lines = 4;
        }},
+      {"2ch-line", "vips",
+       [](harness::SystemConfig& c) {
+         c.cores = 4;
+         c.instructions_per_core = 100'000;
+         c.pcm.geometry.channels = 2;
+         c.pcm.geometry.channel_interleave = pcm::ChannelInterleave::kLine;
+       }},
+      // Small enough that LRU evictions write back within the run.
+      {"1ch-dram-lru32kb", "vips",
+       [](harness::SystemConfig& c) {
+         c.cores = 4;
+         c.instructions_per_core = 100'000;
+         c.dram.enabled = true;
+         c.dram.capacity_bytes = u64{32} * 1024;
+         c.dram.policy = mem::DramPolicy::kLru;
+       }},
+      // Compressible content, so coset tags and don't-care cells cross
+      // the stored line's record.
+      {"coset", "vips",
+       [](harness::SystemConfig& c) {
+         c.encode.kind = encode::EncoderKind::kCoset;
+       },
+       workload::ContentClass::kCompressible},
+      // Every axis at once, apart from Start-Gap (approximate across
+      // channels) and write pausing (PALP excludes it).
+      {"4ch-all-on", "vips",
+       [](harness::SystemConfig& c) {
+         c.cores = 4;
+         c.instructions_per_core = 100'000;
+         c.pcm.geometry.channels = 4;
+         c.pcm.geometry.subarrays_per_bank = 4;
+         c.controller.palp.enabled = true;
+         c.dram.enabled = true;
+         c.dram.capacity_bytes = u64{32} * 1024;
+         c.dram.policy = mem::DramPolicy::kMac;
+         c.fault = fault::profile_config(fault::FaultProfile::kLight);
+         c.encode.kind = encode::EncoderKind::kCoset;
+         c.batch.max_lines = 4;
+       },
+       workload::ContentClass::kCompressible},
       {"server-256b", "vips",
        [](harness::SystemConfig& c) {
          const harness::SystemConfig file = harness::load_system_config(
@@ -396,9 +439,11 @@ std::map<std::string, double> run_axis_cells() {
     cfg.trace.chrome_path = path;
     cfg.trace.categories = trace::kAllCategories;
     cfg.trace.ring_capacity = u64{1} << 18;
-    const auto m = harness::run_system(
-        cfg, workload::profile_by_name(cell.workload),
-        schemes::SchemeKind::kTetris);
+    workload::WorkloadProfile profile =
+        workload::profile_by_name(cell.workload);
+    profile.content = cell.content;
+    const auto m =
+        harness::run_system(cfg, profile, schemes::SchemeKind::kTetris);
     EXPECT_TRUE(m.completed) << cell.label;
     EXPECT_GT(m.trace_records, 0u) << cell.label;
     EXPECT_EQ(m.trace_dropped, 0u) << cell.label;
