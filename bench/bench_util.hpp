@@ -249,7 +249,8 @@ inline harness::RunMetrics plan_stream(const harness::SystemConfig& cfg,
     const workload::TraceOp op = gen.next(0);
     if (!op.is_write) continue;
     const pcm::LogicalLine next = gen.make_write_data(op.addr, store, 0);
-    const auto plan = scheme->plan_write(store.line(op.addr), next);
+    pcm::LineBuf line = store.line(op.addr);
+    const auto plan = scheme->plan_write(line, next);
     units.add(plan.write_units);
     service.add(to_ns(plan.latency));
     bits.add(static_cast<double>(plan.programmed.total()));

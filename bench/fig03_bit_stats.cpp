@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       const workload::TraceOp op = gen.next(0);
       if (!op.is_write) continue;
       const pcm::LogicalLine next = gen.make_write_data(op.addr, store, 0);
-      pcm::LineBuf& line = store.line(op.addr);
+      pcm::LineBuf line = store.line(op.addr);
       const core::ReadStageResult rs = core::read_stage(line, next, 64);
       for (const auto& c : rs.counts) {
         r_acc.add(static_cast<double>(c.n0));

@@ -48,7 +48,10 @@ using namespace tw;
 
 namespace {
 
+/// `lines` view consecutive records of `records`, laid out like the
+/// DataStore's arena.
 struct LinePairs {
+  std::vector<std::byte> records;
   std::vector<pcm::LineBuf> lines;
   std::vector<pcm::LogicalLine> datas;
 };
@@ -56,10 +59,12 @@ struct LinePairs {
 LinePairs make_pairs(u32 units, std::size_t n, u64 seed) {
   Rng rng(seed);
   LinePairs w;
+  const std::size_t stride = pcm::line_record_bytes(units);
+  w.records.assign(n * stride, std::byte{0});
   w.lines.reserve(n);
   w.datas.reserve(n);
   for (std::size_t t = 0; t < n; ++t) {
-    pcm::LineBuf line(units);
+    pcm::LineBuf line(w.records.data() + t * stride, units);
     pcm::LogicalLine data(units);
     for (u32 i = 0; i < units; ++i) {
       line.set_cell(i, rng.next());
@@ -71,7 +76,7 @@ LinePairs make_pairs(u32 units, std::size_t n, u64 seed) {
                            : (line.cell(i) ^
                               (rng.next() & rng.next() & rng.next())));
     }
-    w.lines.push_back(std::move(line));
+    w.lines.push_back(line);
     w.datas.push_back(std::move(data));
   }
   return w;
@@ -158,13 +163,13 @@ PathResult run_batch(const LinePairs& w, const pcm::PcmConfig& cfg,
   for (u32 rep = 0; rep < reps; ++rep) {
     for (std::size_t i = 0; i + k <= w.lines.size(); i += k) {
       // pack_lines takes mutable pointers (the scheme-side caller applies
-      // plans through them) but never mutates here; copies keep the
-      // measured input identical across reps regardless.
-      pcm::LineBuf copies[16];
+      // plans through them) but only reads the lines, so the measured
+      // input stays identical across reps.
+      pcm::LineBuf views[16];
       pcm::LineBuf* ptrs[16];
       for (u32 j = 0; j < k; ++j) {
-        copies[j] = w.lines[i + j];
-        ptrs[j] = &copies[j];
+        views[j] = w.lines[i + j];
+        ptrs[j] = &views[j];
       }
       const core::BatchPackOutcome out = bp.pack_lines(
           {ptrs, k}, {w.datas.data() + i, k}, pcfg);
@@ -177,11 +182,11 @@ PathResult run_batch(const LinePairs& w, const pcm::PcmConfig& cfg,
       static_cast<double>(batches) * k / (secs > 0 ? secs : 1e-9);
   if (sink == 0) std::cerr << "(empty batch schedules)\n";
   for (std::size_t i = 0; i + k <= w.lines.size(); i += k) {
-    pcm::LineBuf copies[16];
+    pcm::LineBuf views[16];
     pcm::LineBuf* ptrs[16];
     for (u32 j = 0; j < k; ++j) {
-      copies[j] = w.lines[i + j];
-      ptrs[j] = &copies[j];
+      views[j] = w.lines[i + j];
+      ptrs[j] = &views[j];
     }
     const core::BatchPackOutcome out =
         bp.pack_lines({ptrs, k}, {w.datas.data() + i, k}, pcfg);
@@ -200,7 +205,8 @@ double run_self_check(const LinePairs& w, const pcm::PcmConfig& cfg) {
   u64 sink = 0;
   bench::WallTimer timer;
   for (std::size_t i = 0; i < w.lines.size(); ++i) {
-    pcm::LineBuf work = w.lines[i];
+    pcm::LineImage copy(w.lines[i]);
+    pcm::LineBuf work = copy.view();
     sink += scheme->plan_write(work, w.datas[i]).latency;
   }
   const double secs = timer.elapsed_ms() / 1000.0;

@@ -46,8 +46,8 @@ int main() {
   for (const auto kind : core::all_scheme_kinds()) {
     mem::DataStore store(cfg.geometry.units_per_line(), /*seed=*/1);
     const auto scheme = core::make_scheme(kind, cfg);
-    const schemes::ServicePlan plan =
-        scheme->plan_write(store.line(addr), next);
+    pcm::LineBuf line = store.line(addr);
+    const schemes::ServicePlan plan = scheme->plan_write(line, next);
 
     table.add_row({std::string(scheme->name()),
                    fixed(to_ns(plan.latency), 1),

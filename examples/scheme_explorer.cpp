@@ -47,7 +47,8 @@ double avg_write_units(const SweepPoint& pt,
     const workload::TraceOp op = gen.next(0);
     if (!op.is_write) continue;
     const pcm::LogicalLine next = gen.make_write_data(op.addr, store, 0);
-    sum += scheme->plan_write(store.line(op.addr), next).write_units;
+    pcm::LineBuf line = store.line(op.addr);
+    sum += scheme->plan_write(line, next).write_units;
     ++n;
   }
   return sum / static_cast<double>(n);

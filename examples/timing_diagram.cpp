@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
   Rng rng(seed);
 
   // Build a workload-like line write: sparse, SET-dominant transitions.
-  pcm::LineBuf line(8);
+  pcm::LineImage stored(8);
+  pcm::LineBuf line = stored.view();
   for (u32 i = 0; i < 8; ++i) line.set_cell(i, rng.next());
   pcm::LogicalLine next = pcm::LogicalLine::from_physical(line);
   for (u32 i = 0; i < 8; ++i) {
@@ -105,7 +106,8 @@ int main(int argc, char** argv) {
         schemes::SchemeKind::kTetris}) {
     core::TetrisOptions opts;
     opts.analysis_cycles = 0;
-    pcm::LineBuf work = line;
+    pcm::LineImage copy = stored;  // each scheme writes its own copy
+    pcm::LineBuf work = copy.view();
     const auto scheme = core::make_scheme(kind, cfg, opts);
     const auto plan = scheme->plan_write(work, next);
     const Tick write_phase =

@@ -37,23 +37,24 @@ class ExclusivityCheck final : public PulseObserver {
 
 }  // namespace
 
-pcm::LineBuf HwExecutor::snapshot(const pcm::PcmArray& array,
-                                  u64 base_bit) const {
+pcm::LineImage HwExecutor::snapshot(const pcm::PcmArray& array,
+                                    u64 base_bit) const {
   const auto& g = scheme_.config().geometry;
   const u32 units = g.units_per_line();
   const u32 bits = g.data_unit_bits;
-  pcm::LineBuf line(units);
+  pcm::LineImage image(units);
+  pcm::LineBuf line = image.view();
   for (u32 u = 0; u < units; ++u) {
     const u64 base = base_bit + static_cast<u64>(u) * (bits + 1);
     line.set_cell(u, array.read_word(base, bits));
     line.set_flip(u, array.read(base + bits));
   }
-  return line;
+  return image;
 }
 
 pcm::LogicalLine HwExecutor::read_line(const pcm::PcmArray& array,
                                        u64 base_bit) const {
-  return pcm::LogicalLine::from_physical(snapshot(array, base_bit));
+  return pcm::LogicalLine::from_physical(snapshot(array, base_bit).view());
 }
 
 HwWriteResult HwExecutor::write_line(pcm::PcmArray& array, u64 base_bit,
@@ -78,7 +79,8 @@ HwWriteResult HwExecutor::write_line(pcm::PcmArray& array, u64 base_bit,
   }
 
   // Read stage: sense the array (the read buffer of Fig. 6).
-  const pcm::LineBuf before = snapshot(array, base_bit);
+  const pcm::LineImage sensed = snapshot(array, base_bit);
+  const pcm::LineBuf before = sensed.view();
   result.analysis = scheme_.analyze(before, next);
   const auto& plans = result.analysis.read.plans;
 

@@ -7,7 +7,7 @@
 // FSM timing, and the pulse count equals the read stage's transition
 // counts.
 //
-// The full-system simulator uses the faster LineBuf bookkeeping; this
+// The full-system simulator uses the faster line-record bookkeeping; this
 // executor backs it with a bit-accurate reference (tests cross-check the
 // two) and powers the wear/endurance studies.
 
@@ -66,7 +66,7 @@ class HwExecutor {
                            const pcm::LogicalLine& next) const;
 
  private:
-  pcm::LineBuf snapshot(const pcm::PcmArray& array, u64 base_bit) const;
+  pcm::LineImage snapshot(const pcm::PcmArray& array, u64 base_bit) const;
 
   const TetrisScheme& scheme_;
   PulseObserver* observer_ = nullptr;

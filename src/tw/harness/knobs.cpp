@@ -439,6 +439,7 @@ std::string config_error(const SystemConfig& cfg) {
            "retry widening >= 1, retry damping and brown-out budget factor "
            "in (0, 1], and a brown-out no longer than its period";
   }
+  if (cfg.cores == 0) return "sys.cores must be >= 1";
   if (!cfg.core.valid()) return "core: need clock, peak IPC and MLP > 0";
   if (cfg.xbar_latency == 0) {
     return "xbar latency must be >= 1 ns (the sharded engine's quantum)";

@@ -816,7 +816,7 @@ void Controller::issue_write(u32 id) {
   note_stuck_remap(at);
   Tick service = 0;
   {  // planning scope: the trace context ends with it
-    pcm::LineBuf& line = store_.line(phys);
+    pcm::LineBuf line = store_.line(phys);
     // The context hands the analysis stage (packer, FSM expansion) an
     // absolute time base + bank track for its own emissions.
     trace::ScopedContext tctx(now, bank_track(cfg_.track_base, bank));
@@ -877,11 +877,11 @@ void Controller::issue_write_batch(u32 head) {
   const Tick now = sim_.now();
   const u32 bank = nodes_[head].at.bank;
 
-  // Scratch for the scheme call: ids, lines and placements stay inline
-  // up to 16 members; the payloads go to the reused batch_datas_. Member
-  // placements are read once, before any member's gap move.
+  // Scratch for the scheme call: ids, line views and placements stay
+  // inline up to 16 members; the payloads go to the reused batch_datas_.
+  // Member placements are read once, before any member's gap move.
   InlineVec<u32, 16> ids;
-  InlineVec<pcm::LineBuf*, 16> lines;
+  InlineVec<pcm::LineBuf, 16> views;
   InlineVec<Placement, 16> at;
   std::vector<pcm::LogicalLine>& datas = batch_datas_;
   datas.clear();
@@ -889,11 +889,12 @@ void Controller::issue_write_batch(u32 head) {
     TW_ASSERT(nodes_[id].at.bank == bank);
     ids.push_back(id);
     at.push_back(nodes_[id].at);
-    (void)store_.line(at.back().phys);
+    views.push_back(store_.line(at.back().phys));
     datas.push_back(nodes_[id].req.data);
   }
   TW_EXPECTS(ids.size() >= 2);
-  for (const Placement& p : at) lines.push_back(&store_.line(p.phys));
+  InlineVec<pcm::LineBuf*, 16> lines;
+  for (pcm::LineBuf& v : views) lines.push_back(&v);
 
   trace::ScopedContext tctx(now, bank_track(cfg_.track_base, bank));
   const double bscale = begin_plan_scope(now);
@@ -998,7 +999,7 @@ void Controller::issue_write_batch(u32 head) {
 void Controller::apply_gap_move(const Relocation& r) {
   const Addr dst = r.dst;
   const pcm::LogicalLine content = store_.read_logical(r.src);
-  pcm::LineBuf& dst_line = store_.line(dst);
+  pcm::LineBuf dst_line = store_.line(dst);
   const double bscale = begin_plan_scope(sim_.now());
   const schemes::ServicePlan plan = scheme_.plan_write(dst_line, content);
   energy_.add_write(plan.programmed);

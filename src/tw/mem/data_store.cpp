@@ -1,5 +1,7 @@
 #include "tw/mem/data_store.hpp"
 
+#include <cstring>
+
 #include "tw/common/assert.hpp"
 #include "tw/common/simd.hpp"
 
@@ -20,42 +22,39 @@ u64 bias_threshold(double bias) {
 
 DataStore::DataStore(u32 units_per_line, u64 seed, double ones_bias)
     : units_(units_per_line),
+      stride_(pcm::line_record_bytes(units_per_line)),
       seed_(seed),
       biased_(ones_bias != 0.5),
       threshold_(bias_threshold(ones_bias)) {}
 
-pcm::LineBuf DataStore::materialize(Addr line_addr) const {
+void DataStore::materialize(Addr line_addr, u64* cells) const {
   // Deterministic per-line content: hash (seed, addr) into a short
   // SplitMix64 stream. Tags start clear (factory state).
   const u64 line_seed =
       seed_ ^ (line_addr * 0x9E3779B97F4A7C15ull) ^ line_addr;
-  pcm::LineBuf buf(units_);
   if (!biased_) {
     SplitMix64 sm(line_seed);
-    for (u32 i = 0; i < units_; ++i) buf.set_cell(i, sm.next());
-    return buf;
+    for (u32 i = 0; i < units_; ++i) cells[i] = sm.next();
+  } else {
+    // Biased content: each cell is '1' with probability ones_bias.
+    simd::biased_words(line_seed, units_, threshold_, cells,
+                       simd::active_level());
   }
-  // Biased content: each cell is '1' with probability ones_bias.
-  u64 words[pcm::kMaxUnitsPerLine];
-  simd::biased_words(line_seed, units_, threshold_, words,
-                     simd::active_level());
-  for (u32 i = 0; i < units_; ++i) buf.set_cell(i, words[i]);
-  return buf;
+  std::memset(cells + units_, 0, stride_ - 8 * units_);
 }
 
-pcm::LineBuf& DataStore::line(Addr line_addr) {
-  const u32 idx = index_.find(line_addr);
-  if (idx != FlatIndexMap::kNoIndex) {
-    return chunks_[idx >> kChunkShift][idx & kChunkMask];
+pcm::LineBuf DataStore::line(Addr line_addr) {
+  u32 slot = index_.find(line_addr);
+  if (slot == FlatIndexMap::kNoIndex) {
+    if ((arena_size_ >> kChunkShift) == chunks_.size()) {
+      chunks_.push_back(
+          std::make_unique_for_overwrite<std::byte[]>(kChunkLines * stride_));
+    }
+    slot = arena_size_++;
+    materialize(line_addr, reinterpret_cast<u64*>(record(slot)));
+    index_.insert(line_addr, slot);
   }
-  if ((arena_size_ >> kChunkShift) == chunks_.size()) {
-    chunks_.push_back(std::make_unique<pcm::LineBuf[]>(kChunkLines));
-  }
-  const u32 slot = arena_size_++;
-  pcm::LineBuf& buf = chunks_[slot >> kChunkShift][slot & kChunkMask];
-  buf = materialize(line_addr);
-  index_.insert(line_addr, slot);
-  return buf;
+  return {record(slot), units_};
 }
 
 }  // namespace tw::mem

@@ -10,10 +10,9 @@
 // the simd::biased_words kernel.
 //
 // Storage is a FlatIndexMap (open-addressing, no per-entry allocation)
-// over a chunked arena of LineBufs: references returned by line() stay
-// valid for the store's lifetime — growth adds chunks, it never moves
-// existing lines (unlike unordered_map, this is guaranteed by layout,
-// not by rehash accident).
+// over an arena of line records (pcm::line_record_bytes each) in chunks
+// of 512 lines: views returned by line() stay valid for the store's
+// lifetime — growth adds chunks, it never moves existing records.
 
 #include <memory>
 #include <vector>
@@ -35,16 +34,16 @@ class DataStore {
   /// in [0, 1].
   DataStore(u32 units_per_line, u64 seed, double ones_bias = 0.5);
 
-  /// Mutable physical state of a line (materialized on first touch).
-  /// The reference stays valid for the lifetime of the store.
-  pcm::LineBuf& line(Addr line_addr);
+  /// View of a line's physical state (materialized on first touch). The
+  /// view stays valid for the lifetime of the store.
+  pcm::LineBuf line(Addr line_addr);
 
   /// Read-only logical view of a line (materializes on first touch).
   /// Routed through the installed decoder when the write scheme stores a
   /// transformed image (content-encoder pre-stage); the default is the
   /// plain flip-tag inversion of LogicalLine::from_physical.
   pcm::LogicalLine read_logical(Addr line_addr) {
-    pcm::LineBuf& l = line(line_addr);
+    const pcm::LineBuf l = line(line_addr);
     if (decoder_fn_ != nullptr) return decoder_fn_(decoder_ctx_, l);
     return pcm::LogicalLine::from_physical(l);
   }
@@ -72,16 +71,20 @@ class DataStore {
   static constexpr u32 kChunkLines = 1u << kChunkShift;
   static constexpr u32 kChunkMask = kChunkLines - 1;
 
-  pcm::LineBuf materialize(Addr line_addr) const;
+  void materialize(Addr line_addr, u64* cells) const;
+  std::byte* record(u32 slot) const {
+    return chunks_[slot >> kChunkShift].get() + (slot & kChunkMask) * stride_;
+  }
 
   u32 units_;
+  u32 stride_;     ///< bytes per record: pcm::line_record_bytes(units_)
   u64 seed_;
   bool biased_;    ///< ones_bias != 0.5: one draw per bit, not per word
   u64 threshold_;  ///< a biased draw <= this makes the bit '1'
   const void* decoder_ctx_ = nullptr;
   Decoder decoder_fn_ = nullptr;
   FlatIndexMap index_;
-  std::vector<std::unique_ptr<pcm::LineBuf[]>> chunks_;
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;  ///< kChunkLines each
   u32 arena_size_ = 0;  ///< lines stored across all chunks
 };
 

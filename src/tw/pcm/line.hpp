@@ -1,10 +1,11 @@
 #pragma once
-// Cache-line values. LineBuf is the physical state stored in the PCM
-// array: per-data-unit cell words plus the Flip-N-Write flip tag; a 64 B
-// line of 64-bit units (the paper's geometry) is stored inline, wider
-// lines (max 32 units = 256 B) keep their units in one heap block sized
-// to the line. LogicalLine is the de-inverted value a request carries:
-// one inline array of kMaxUnitsPerLine words, of which construction and
+// Cache-line values. A stored line is one record of 10 B per data unit:
+// its 64-bit cell words, then its Flip-N-Write flip tags, then its
+// content-encoder tags, padded to a multiple of 8 B (line_record_bytes).
+// LineBuf is a view of such a record; the DataStore's arena holds the
+// simulator's records, and a LineImage holds one owning copy (snapshots,
+// tests). LogicalLine is the de-inverted value a request carries: one
+// inline array of kMaxUnitsPerLine words, of which construction and
 // copies touch only the used ones (a fixed 64 B block up to 8 units,
 // nothing for a read's empty payload).
 
@@ -12,12 +13,9 @@
 #include <array>
 #include <cstddef>
 #include <cstring>
-#include <memory>
 #include <span>
-#include <utility>
 
 #include "tw/common/assert.hpp"
-#include "tw/common/bits.hpp"
 #include "tw/common/types.hpp"
 
 namespace tw::pcm {
@@ -25,50 +23,25 @@ namespace tw::pcm {
 /// Maximum data units per cache line (256 B / 64-bit).
 inline constexpr u32 kMaxUnitsPerLine = 32;
 
-/// Data units a LineBuf holds without a heap block. The content store
-/// keeps one LineBuf per touched line, so this sets its per-line footprint:
-/// 96 B, against 328 B when every line reserved kMaxUnitsPerLine units.
-/// A wider line adds a heap block of 10 B per unit (160 B at 128 B lines,
-/// 320 B at 256 B lines, plus the allocator's header).
+/// Data units of the paper's 64 B line: LogicalLine copies this many
+/// words as one fixed block.
 inline constexpr u32 kInlineUnitsPerLine = 8;
 
-/// Physical line content: `units` 64-bit cell words + one flip bit each.
-/// The *logical* value of unit i is `flip[i] ? ~cells[i] : cells[i]`.
+/// Bytes of one stored line's record: 10 B per unit, padded to 8 B so
+/// every record's cell words stay aligned in an arena of records.
+constexpr u32 line_record_bytes(u32 units) { return (units * 10 + 7) / 8 * 8; }
+
+/// View of one stored line's record: `units` 64-bit cell words, one flip
+/// tag and one encoder tag each. The *logical* value of unit i is
+/// `flip[i] ? ~cells[i] : cells[i]`. A copy views the same record; an
+/// owning copy is a LineImage.
 class LineBuf {
  public:
-  LineBuf() = default;
+  LineBuf() = default;  ///< an empty view (0 units)
 
-  /// A line of `units` data units, cells zeroed, flags clear.
-  explicit LineBuf(u32 units) : units_(units) {
-    TW_EXPECTS(units >= 1 && units <= kMaxUnitsPerLine);
-    if (units > kInlineUnitsPerLine) {
-      wide_ = std::make_unique<std::byte[]>(units * kUnitBytes);
-    }
-  }
-
-  LineBuf(const LineBuf& o) : inline_(o.inline_), units_(o.units_) {
-    if (o.wide_) {
-      wide_ = std::make_unique_for_overwrite<std::byte[]>(units_ * kUnitBytes);
-      std::memcpy(wide_.get(), o.wide_.get(), units_ * kUnitBytes);
-    }
-  }
-  LineBuf& operator=(const LineBuf& o) {
-    if (this != &o) *this = LineBuf(o);
-    return *this;
-  }
-  // A moved-from line is empty (0 units), never a wide line without its
-  // block.
-  LineBuf(LineBuf&& o) noexcept
-      : inline_(o.inline_),
-        wide_(std::move(o.wide_)),
-        units_(std::exchange(o.units_, 0)) {}
-  LineBuf& operator=(LineBuf&& o) noexcept {
-    inline_ = o.inline_;
-    wide_ = std::move(o.wide_);
-    units_ = std::exchange(o.units_, 0);
-    return *this;
-  }
-  ~LineBuf() = default;
+  /// View of the 8 B aligned record at `record`, line_record_bytes(units)
+  /// long; its owner (DataStore, LineImage) checked `units`.
+  LineBuf(std::byte* record, u32 units) : bytes_(record), units_(units) {}
 
   u32 units() const { return units_; }
 
@@ -115,7 +88,6 @@ class LineBuf {
     TW_EXPECTS(i < units_);
     metas()[i] = m;
   }
-  std::span<const u8> meta_tags() const { return {metas(), units_}; }
 
   std::span<const u64> cell_words() const { return {cells(), units_}; }
 
@@ -124,37 +96,52 @@ class LineBuf {
   /// contract-checked per-element accessors.
   std::span<const bool> flip_bits() const { return {flips(), units_}; }
 
+  /// Same units and the same cells and tags (not the same record).
   bool operator==(const LineBuf& o) const {
     return units_ == o.units_ &&
-           std::memcmp(bytes(), o.bytes(), units_ * kUnitBytes) == 0;
+           std::memcmp(bytes_, o.bytes_, units_ * std::size_t{10}) == 0;
   }
 
  private:
-  // Storage of `units_` units: their 8 B cell words, then their 1 B flip
-  // tags, then their 1 B encoder tags.
-  static constexpr u32 kUnitBytes = 10;
+  u64* cells() const { return reinterpret_cast<u64*>(bytes_); }
+  bool* flips() const { return reinterpret_cast<bool*>(bytes_ + 8 * units_); }
+  u8* metas() const { return reinterpret_cast<u8*>(bytes_ + 9 * units_); }
 
-  const std::byte* bytes() const {
-    return wide_ ? wide_.get() : inline_.data();
-  }
-  const u64* cells() const { return reinterpret_cast<const u64*>(bytes()); }
-  const bool* flips() const {
-    return reinterpret_cast<const bool*>(bytes() + 8 * units_);
-  }
-  const u8* metas() const {
-    return reinterpret_cast<const u8*>(bytes() + 9 * units_);
-  }
-  u64* cells() { return const_cast<u64*>(std::as_const(*this).cells()); }
-  bool* flips() { return const_cast<bool*>(std::as_const(*this).flips()); }
-  u8* metas() { return const_cast<u8*>(std::as_const(*this).metas()); }
-
-  alignas(u64) std::array<std::byte, kInlineUnitsPerLine * kUnitBytes>
-      inline_{};
-  std::unique_ptr<std::byte[]> wide_;  ///< null while the units fit inline
+  std::byte* bytes_ = nullptr;
   u32 units_ = 0;
 };
 
-static_assert(sizeof(LineBuf) <= 96);
+/// An owning copy of one stored line, in one inline record sized for
+/// kMaxUnitsPerLine units. Reads and writes go through view(), which
+/// never outlives the image. Record bytes past the units' are always 0.
+class LineImage {
+ public:
+  LineImage() = default;  ///< an empty image (0 units)
+
+  /// A line of `units` data units, cells zeroed, tags clear.
+  explicit LineImage(u32 units) : units_(units) {
+    TW_EXPECTS(units >= 1 && units <= kMaxUnitsPerLine);
+  }
+
+  /// A copy of the line `line` views.
+  explicit LineImage(const LineBuf& line) : LineImage(line.units()) {
+    std::memcpy(record_.data(), line.cell_words().data(),
+                line_record_bytes(units_));
+  }
+
+  /// A view of this image's record. Views are shallow: the view of a
+  /// const image must only be read.
+  LineBuf view() const {
+    return {const_cast<std::byte*>(record_.data()), units_};
+  }
+
+  bool operator==(const LineImage&) const = default;
+
+ private:
+  u32 units_ = 0;
+  alignas(u64) std::array<std::byte, line_record_bytes(kMaxUnitsPerLine)>
+      record_{};
+};
 
 /// A logical (already de-inverted) line value, as the CPU sees it.
 ///

@@ -1,6 +1,7 @@
 #include "tw/pcm/params.hpp"
 
 #include "tw/common/strings.hpp"
+#include "tw/pcm/line.hpp"
 
 namespace tw::pcm {
 
@@ -32,6 +33,9 @@ std::string GeometryParams::error() const {
     return "cache line (" + std::to_string(cache_line_bytes * 8) +
            " bits) must be a whole number of data units (" +
            std::to_string(data_unit_bits) + " bits each)";
+  }
+  if (units_per_line() > kMaxUnitsPerLine) {
+    return "a cache line holds at most 32 data units (256 B of 64-bit units)";
   }
   if (banks == 0 || !is_pow2(banks)) return pow2_msg("banks", banks);
   if (ranks == 0) return "ranks must be >= 1";

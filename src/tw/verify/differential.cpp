@@ -33,15 +33,16 @@ schemes::ServicePlan DifferentialChecker::check_write(
   const schemes::ServicePlan plan = scheme_.plan_write(line, next);
 
   // Post-write physical image: exact cell and tag equality per unit.
+  const pcm::LineBuf expected = truth.expected.view();
   for (u32 i = 0; i < line.units(); ++i) {
-    if (line.cell(i) != truth.expected.cell(i)) {
+    if (line.cell(i) != expected.cell(i)) {
       fail("unit " + std::to_string(i) + " cells " + hex(line.cell(i)) +
-           ", oracle expects " + hex(truth.expected.cell(i)));
+           ", oracle expects " + hex(expected.cell(i)));
     }
-    if (line.flip(i) != truth.expected.flip(i)) {
+    if (line.flip(i) != expected.flip(i)) {
       fail("unit " + std::to_string(i) + " flip tag " +
            std::to_string(line.flip(i)) + ", oracle expects " +
-           std::to_string(truth.expected.flip(i)));
+           std::to_string(expected.flip(i)));
     }
     report_.cells_compared += bits + 1;
   }

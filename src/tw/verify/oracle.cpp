@@ -60,7 +60,8 @@ OracleResult OracleScheme::write(const pcm::LineBuf& line,
   const double reset_pj = cfg_.energy.reset_pj;
 
   OracleResult r;
-  r.expected = pcm::LineBuf(units);
+  r.expected = pcm::LineImage(units);
+  pcm::LineBuf expected = r.expected.view();
   r.units.resize(units);
 
   for (u32 i = 0; i < units; ++i) {
@@ -125,8 +126,8 @@ OracleResult OracleScheme::write(const pcm::LineBuf& line,
       }
     }
 
-    r.expected.set_cell(i, u.expected_cells);
-    r.expected.set_flip(i, u.expected_flip);
+    expected.set_cell(i, u.expected_cells);
+    expected.set_flip(i, u.expected_flip);
     r.programmed.sets += u.set_pulses;
     r.programmed.resets += u.reset_pulses;
     r.background.sets += u.background_sets;

@@ -33,7 +33,7 @@ struct OracleUnit {
 
 /// Ground truth for one full cache-line write.
 struct OracleResult {
-  pcm::LineBuf expected;        ///< exact post-write physical image
+  pcm::LineImage expected;      ///< exact post-write physical image
   std::vector<OracleUnit> units;
   BitTransitions programmed;    ///< critical-path pulses (scheme must match)
   BitTransitions background;    ///< off-critical-path pulses (PreSET)

@@ -231,7 +231,8 @@ TEST(EncodeScheme, DecoratorNameKindAndStats) {
   EXPECT_TRUE(wrapped->transforms_content());
 
   const u32 units = dev.geometry.units_per_line();
-  pcm::LineBuf line(units);
+  pcm::LineImage line_image(units);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(units);
   Rng rng(0xA11CE);
   for (u32 u = 0; u < units; ++u) next.set_word(u, rng.next());
@@ -241,7 +242,8 @@ TEST(EncodeScheme, DecoratorNameKindAndStats) {
 
   // Bare schemes carry no encoder state.
   const auto bare = core::make_scheme(schemes::SchemeKind::kDcw, dev);
-  pcm::LineBuf line2(units);
+  pcm::LineImage line2_image(units);
+  pcm::LineBuf line2 = line2_image.view();
   const schemes::ServicePlan bare_plan = bare->plan_write(line2, next);
   EXPECT_FALSE(bare_plan.enc.active);
   EXPECT_EQ(bare_plan.enc.coded_units, 0u);
@@ -259,7 +261,8 @@ TEST(EncodeScheme, FnwEqualsFlipEncoderOverDcw) {
   const auto composed = wrap_scheme(
       core::make_scheme(schemes::SchemeKind::kDcw, dev), EncoderKind::kFlip);
 
-  pcm::LineBuf a(units), b(units);
+  pcm::LineImage a_image(units), b_image(units);
+  pcm::LineBuf a = a_image.view(), b = b_image.view();
   Rng rng(0xF19F);
   for (int trial = 0; trial < 3'000; ++trial) {
     pcm::LogicalLine next(units);
@@ -315,12 +318,14 @@ TEST(EncodeScheme, ReplanIsDeterministic) {
   for (const EncoderKind k : kRealEncoders) {
     const auto wrapped = wrap_scheme(
         core::make_scheme(schemes::SchemeKind::kTetris, dev), k);
-    pcm::LineBuf a(units);
+    pcm::LineImage a_image(units);
+    pcm::LineBuf a = a_image.view();
     Rng rng(0xD371 ^ static_cast<u64>(k));
     for (int trial = 0; trial < 300; ++trial) {
       pcm::LogicalLine next(units);
       for (u32 u = 0; u < units; ++u) next.set_word(u, rng.next());
-      pcm::LineBuf b = a;  // snapshot before the "first attempt"
+      pcm::LineImage b_image(a);  // snapshot before the "first attempt"
+      pcm::LineBuf b = b_image.view();
       const schemes::ServicePlan pa = wrapped->plan_write(a, next);
       const schemes::ServicePlan pb = wrapped->plan_write(b, next);
       ASSERT_TRUE(a == b);
@@ -342,29 +347,30 @@ TEST(EncodeScheme, BatchMatchesPerLinePlans) {
         core::make_scheme(schemes::SchemeKind::kDcw, dev), k);
     Rng rng(0xBA7C ^ static_cast<u64>(k));
     constexpr std::size_t kLines = 5;
-    std::vector<pcm::LineBuf> batch_lines, solo_lines;
+    std::vector<pcm::LineImage> batch_lines(kLines, pcm::LineImage(units));
+    std::vector<pcm::LineImage> solo_lines = batch_lines;
     std::vector<pcm::LogicalLine> datas;
     for (std::size_t i = 0; i < kLines; ++i) {
-      batch_lines.emplace_back(units);
       pcm::LogicalLine next(units);
       for (u32 u = 0; u < units; ++u) next.set_word(u, rng.next());
       datas.push_back(next);
     }
-    solo_lines = batch_lines;
+    std::vector<pcm::LineBuf> views;
+    for (const auto& l : batch_lines) views.push_back(l.view());
     std::vector<pcm::LineBuf*> ptrs;
-    for (auto& l : batch_lines) ptrs.push_back(&l);
+    for (auto& v : views) ptrs.push_back(&v);
     const schemes::BatchServicePlan bp = wrapped->plan_write_batch(
         {ptrs.data(), ptrs.size()}, {datas.data(), datas.size()});
     ASSERT_EQ(bp.per_line.size(), kLines);
     for (std::size_t i = 0; i < kLines; ++i) {
-      const schemes::ServicePlan sp =
-          wrapped->plan_write(solo_lines[i], datas[i]);
+      pcm::LineBuf solo = solo_lines[i].view();
+      const schemes::ServicePlan sp = wrapped->plan_write(solo, datas[i]);
       EXPECT_TRUE(batch_lines[i] == solo_lines[i]) << "line " << i;
       EXPECT_EQ(bp.per_line[i].programmed, sp.programmed);
       EXPECT_EQ(bp.per_line[i].enc.coded_units, sp.enc.coded_units);
       EXPECT_EQ(bp.per_line[i].enc.tag_bits, sp.enc.tag_bits);
       EXPECT_TRUE(bp.per_line[i].enc.active);
-      EXPECT_EQ(wrapped->decode_stored(batch_lines[i]), datas[i]);
+      EXPECT_EQ(wrapped->decode_stored(views[i]), datas[i]);
     }
   }
 }
@@ -395,7 +401,8 @@ TEST(EncodeScheme, DataStoreDecoderHookRoundTrips) {
                            ? lo
                            : lo | ~low_mask(dev.geometry.data_unit_bits / 2));
     }
-    wrapped->plan_write(store.line(addr), next);
+    pcm::LineBuf line = store.line(addr);
+    wrapped->plan_write(line, next);
     EXPECT_EQ(store.read_logical(addr), next);
   }
 }
@@ -421,8 +428,10 @@ TEST_P(EncodeDifferential, OracleAgreesOnCodedStream) {
   const auto enc = make_encoder(ekind, dev);
   verify::DifferentialChecker checker(*inner);
 
-  pcm::LineBuf line(units);   // driven by the decorated scheme
-  pcm::LineBuf shadow(units); // driven through the checker, coded stream
+  // `line` is driven by the decorated scheme, `shadow` through the
+  // checker with the coded stream.
+  pcm::LineImage line_image(units), shadow_image(units);
+  pcm::LineBuf line = line_image.view(), shadow = shadow_image.view();
   std::array<u8, pcm::kMaxUnitsPerLine> metas{};
 
   Rng rng(0xD1FF ^ (static_cast<u64>(skind) << 8) ^

@@ -11,10 +11,11 @@ namespace {
 
 pcm::PcmConfig cfg() { return pcm::table2_config(); }
 
-pcm::LineBuf line_of(u64 word) {
-  pcm::LineBuf l(8);
+pcm::LineImage line_of(u64 word) {
+  pcm::LineImage l_image(8);
+  pcm::LineBuf l = l_image.view();
   for (u32 i = 0; i < 8; ++i) l.set_cell(i, word);
-  return l;
+  return l_image;
 }
 
 pcm::LogicalLine data_of(u64 word) {
@@ -26,7 +27,8 @@ pcm::LogicalLine data_of(u64 word) {
 // ----------------------------------------------------------------- preset --
 TEST(Preset, CriticalPathIsResetOnly) {
   const auto scheme = core::make_scheme(schemes::SchemeKind::kPreset, cfg());
-  pcm::LineBuf line = line_of(0);
+  pcm::LineImage line_image = line_of(0);
+  pcm::LineBuf line = line_image.view();
   const schemes::ServicePlan p = scheme->plan_write(line, data_of(0xAA));
   // Worst case: (64+1 cells) x L=2 = 130 > budget 128 -> one unit per
   // Treset slot: 8 x 53 ns.
@@ -40,7 +42,9 @@ TEST(Preset, CriticalPathIsResetOnly) {
 
 TEST(Preset, BackgroundPassAccountsMissingSets) {
   const auto scheme = core::make_scheme(schemes::SchemeKind::kPreset, cfg());
-  pcm::LineBuf line = line_of(0);  // all cells 0: background SETs them all
+  // All cells 0: the background pass SETs them all.
+  pcm::LineImage line_image = line_of(0);
+  pcm::LineBuf line = line_image.view();
   const schemes::ServicePlan p = scheme->plan_write(line, data_of(~u64{0}));
   EXPECT_EQ(p.background.sets, 8u * 64u + 8u);  // data + tag cells
   EXPECT_EQ(p.background.resets, 0u);
@@ -52,7 +56,8 @@ TEST(Preset, LogicalDataRoundTrips) {
   const auto scheme = core::make_scheme(schemes::SchemeKind::kPreset, cfg());
   Rng rng(3);
   for (int t = 0; t < 100; ++t) {
-    pcm::LineBuf line(8);
+    pcm::LineImage line_image(8);
+    pcm::LineBuf line = line_image.view();
     for (u32 i = 0; i < 8; ++i) {
       line.set_cell(i, rng.next());
       line.set_flip(i, rng.chance(0.2));
@@ -65,13 +70,15 @@ TEST(Preset, LogicalDataRoundTrips) {
 }
 
 TEST(Preset, ContentAwareBeatsWorstCaseOnSparseZeros) {
-  pcm::LineBuf base = line_of(~u64{0});
+  pcm::LineImage base_image = line_of(~u64{0});
+  pcm::LineBuf base = base_image.view();
   pcm::LogicalLine next(8);
   for (u32 i = 0; i < 8; ++i) next.set_word(i, ~u64{0b11});  // 2 zeros/unit
   const auto worst = core::make_scheme(schemes::SchemeKind::kPreset, cfg());
   const auto actual =
       core::make_scheme(schemes::SchemeKind::kPresetActual, cfg());
-  pcm::LineBuf l1 = base, l2 = base;
+  pcm::LineImage l1_image(base), l2_image(base);
+  pcm::LineBuf l1 = l1_image.view(), l2 = l2_image.view();
   const auto pw = worst->plan_write(l1, next);
   const auto pa = actual->plan_write(l2, next);
   EXPECT_LT(pa.latency, pw.latency);
@@ -82,19 +89,22 @@ TEST(Preset, ContentAwareBeatsWorstCaseOnSparseZeros) {
 TEST(Preset, FastestWritebackOfAllSchemes) {
   // On the critical path nothing beats RESET-only writes.
   Rng rng(17);
-  pcm::LineBuf base(8);
+  pcm::LineImage base_image(8);
+  pcm::LineBuf base = base_image.view();
   for (u32 i = 0; i < 8; ++i) base.set_cell(i, rng.next());
   pcm::LogicalLine next(8);
   for (u32 i = 0; i < 8; ++i) next.set_word(i, rng.next());
   const auto preset =
       core::make_scheme(schemes::SchemeKind::kPreset, cfg());
-  pcm::LineBuf l1 = base;
+  pcm::LineImage l1_image(base);
+  pcm::LineBuf l1 = l1_image.view();
   const Tick preset_latency = preset->plan_write(l1, next).latency;
   for (const auto kind :
        {schemes::SchemeKind::kDcw, schemes::SchemeKind::kFlipNWrite,
         schemes::SchemeKind::kTwoStage, schemes::SchemeKind::kThreeStage,
         schemes::SchemeKind::kTetris}) {
-    pcm::LineBuf l = base;
+    pcm::LineImage l_image(base);
+    pcm::LineBuf l = l_image.view();
     EXPECT_LT(preset_latency,
               core::make_scheme(kind, cfg())->plan_write(l, next).latency)
         << schemes::scheme_name(kind);
@@ -124,7 +134,8 @@ TEST(BatchTetris, SharesWriteUnitsAcrossLines) {
   const core::TetrisScheme scheme(cfg(), opts);
 
   // Two lines with light demand: jointly they still fit one write unit.
-  pcm::LineBuf a = line_of(0), b = line_of(0);
+  pcm::LineImage a_image = line_of(0), b_image = line_of(0);
+  pcm::LineBuf a = a_image.view(), b = b_image.view();
   pcm::LogicalLine da = data_of(0b111), db = data_of(0b1011);
   pcm::LineBuf* lines[] = {&a, &b};
   const pcm::LogicalLine datas[] = {da, db};
@@ -147,7 +158,9 @@ TEST(BatchTetris, FasterThanSerialTetris) {
   core::TetrisOptions opts;
   const core::TetrisScheme scheme(cfg(), opts);
   for (int trial = 0; trial < 50; ++trial) {
-    pcm::LineBuf a(8), b(8), a2(8), b2(8);
+    pcm::LineImage a_image(8), b_image(8), a2_image(8), b2_image(8);
+    pcm::LineBuf a = a_image.view(), b = b_image.view();
+    pcm::LineBuf a2 = a2_image.view(), b2 = b2_image.view();
     pcm::LogicalLine da(8), db(8);
     for (u32 i = 0; i < 8; ++i) {
       a.set_cell(i, rng.next());
@@ -169,7 +182,8 @@ TEST(BatchTetris, FasterThanSerialTetris) {
 
 TEST(BatchTetris, DefaultBatchSerializesForOtherSchemes) {
   const auto dcw = core::make_scheme(schemes::SchemeKind::kDcw, cfg());
-  pcm::LineBuf a = line_of(0), b = line_of(0);
+  pcm::LineImage a_image = line_of(0), b_image = line_of(0);
+  pcm::LineBuf a = a_image.view(), b = b_image.view();
   const pcm::LogicalLine datas[] = {data_of(1), data_of(2)};
   pcm::LineBuf* lines[] = {&a, &b};
   const schemes::BatchServicePlan batch =
@@ -185,7 +199,8 @@ TEST(BatchTetris, SelfCheckVerifiesJointSchedules) {
   const core::TetrisScheme scheme(cfg(), opts);
   Rng rng(31);
   for (int trial = 0; trial < 30; ++trial) {
-    pcm::LineBuf a(8), b(8), c(8);
+    pcm::LineImage a_image(8), b_image(8), c_image(8);
+    pcm::LineBuf a = a_image.view(), b = b_image.view(), c = c_image.view();
     pcm::LogicalLine da(8), db(8), dc(8);
     for (u32 i = 0; i < 8; ++i) {
       a.set_cell(i, rng.next());

@@ -20,10 +20,11 @@ namespace {
 
 pcm::PcmConfig device() { return pcm::table2_config(); }
 
-pcm::LineBuf uniform_line(u32 units, u64 cell) {
-  pcm::LineBuf line(units);
+pcm::LineImage uniform_line(u32 units, u64 cell) {
+  pcm::LineImage line_image(units);
+  pcm::LineBuf line = line_image.view();
   for (u32 i = 0; i < units; ++i) line.set_cell(i, cell);
-  return line;
+  return line_image;
 }
 
 pcm::LogicalLine uniform_data(u32 units, u64 word) {
@@ -35,7 +36,8 @@ pcm::LogicalLine uniform_data(u32 units, u64 word) {
 /// A ServicePlan with real pulse demand, from an actual scheme plan.
 schemes::ServicePlan demanding_plan(const schemes::WriteScheme& scheme) {
   const u32 units = device().geometry.units_per_line();
-  pcm::LineBuf line = uniform_line(units, 0x00FF'00FF'00FF'00FFull);
+  pcm::LineImage line_image = uniform_line(units, 0x00FF'00FF'00FF'00FFull);
+  pcm::LineBuf line = line_image.view();
   const pcm::LogicalLine next =
       uniform_data(units, 0xFF00'FF00'FF00'FF00ull);
   return scheme.plan_write(line, next);

@@ -167,7 +167,8 @@ TEST(Datapath, OverflowRejected) {
 }
 
 TEST(Datapath, LatchFromReadStage) {
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   next.set_word(0, 0b111);
   next.set_word(5, 0b11);

@@ -225,7 +225,8 @@ TEST(FuzzPacker, RandomWritesMatchBitSerialOracle) {
     SCOPED_TRACE(schemes::scheme_name(kind));
     const auto scheme = make_scheme(kind, dev);
     verify::DifferentialChecker checker(*scheme);
-    pcm::LineBuf line(units);
+    pcm::LineImage line_image(units);
+    pcm::LineBuf line = line_image.view();
     Rng rng(campaign_seed(0x0DDCAFEull));
 
     // Edge contents first: silent write, all-SET, all-RESET, alternating.
@@ -318,7 +319,7 @@ TEST(FuzzPacker, RetrySpreadRepacksUnderBudget) {
 
 struct MultiLineCase {
   u32 budget = 128;
-  std::vector<pcm::LineBuf> lines;
+  std::vector<pcm::LineImage> lines;
   std::vector<pcm::LogicalLine> datas;
 };
 
@@ -327,9 +328,9 @@ std::string multi_reproducer(const MultiLineCase& c) {
   out << std::hex << "budget=" << std::dec << c.budget << " lines={";
   for (std::size_t i = 0; i < c.lines.size(); ++i) {
     out << "{cells:" << std::hex;
-    for (u32 u = 0; u < c.lines[i].units(); ++u) {
-      out << (u ? "," : "") << c.lines[i].cell(u)
-          << (c.lines[i].flip(u) ? "F" : "");
+    const pcm::LineBuf line = c.lines[i].view();
+    for (u32 u = 0; u < line.units(); ++u) {
+      out << (u ? "," : "") << line.cell(u) << (line.flip(u) ? "F" : "");
     }
     out << " next:";
     for (u32 u = 0; u < c.datas[i].units(); ++u) {
@@ -353,8 +354,10 @@ bool multi_line_broken(MultiLineCase c) {
   pcfg.l = dev.l();
   pcfg.budget = c.budget;
   try {
+    std::vector<pcm::LineBuf> views;
+    for (const auto& l : c.lines) views.push_back(l.view());
     std::vector<pcm::LineBuf*> ptrs;
-    for (auto& l : c.lines) ptrs.push_back(&l);
+    for (auto& v : views) ptrs.push_back(&v);
     const BatchPacker bp(dev, BatchPackerOptions{});
     const BatchPackOutcome out = bp.pack_lines(
         {ptrs.data(), ptrs.size()}, {c.datas.data(), c.datas.size()}, pcfg);
@@ -377,7 +380,8 @@ bool multi_line_broken(MultiLineCase c) {
     // Per-line image correctness: each line's plans, applied, must decode
     // back to exactly the data the batch was asked to store.
     for (std::size_t i = 0; i < c.lines.size(); ++i) {
-      pcm::LineBuf post = c.lines[i];
+      pcm::LineImage post_image = c.lines[i];
+      pcm::LineBuf post = post_image.view();
       schemes::apply_plans(
           post, {out.reads[i].plans.data(), out.reads[i].plans.size()});
       if (!(pcm::LogicalLine::from_physical(post) == c.datas[i])) return true;
@@ -410,10 +414,12 @@ MultiLineCase minimize_multi(
       }
     }
     for (std::size_t i = 0; i < c.lines.size(); ++i) {
-      for (u32 u = 0; u < c.lines[i].units(); ++u) {
-        if (c.datas[i].word(u) == c.lines[i].logical(u)) continue;
+      for (u32 u = 0; u < c.datas[i].units(); ++u) {
+        // Read through a fresh view: accepting a case replaces c.lines.
+        const u64 stored = c.lines[i].view().logical(u);
+        if (c.datas[i].word(u) == stored) continue;
         MultiLineCase quieter = c;
-        quieter.datas[i].set_word(u, c.lines[i].logical(u));
+        quieter.datas[i].set_word(u, stored);
         if (fails(quieter)) {
           c = std::move(quieter);
           progress = true;
@@ -438,7 +444,8 @@ MultiLineCase random_multi_case(Rng& rng, u32 max_lines, u32 budget) {
   c.budget = budget;
   const u32 k = 1 + static_cast<u32>(rng.next() % max_lines);
   for (u32 i = 0; i < k; ++i) {
-    pcm::LineBuf line(units);
+    pcm::LineImage line_image(units);
+    pcm::LineBuf line = line_image.view();
     pcm::LogicalLine next(units);
     for (u32 u = 0; u < units; ++u) {
       u64 cells = rng.next();
@@ -451,7 +458,7 @@ MultiLineCase random_multi_case(Rng& rng, u32 max_lines, u32 budget) {
       if (rng.chance(0.1)) w = line.logical(u);
       next.set_word(u, w);
     }
-    c.lines.push_back(line);
+    c.lines.push_back(line_image);
     c.datas.push_back(next);
   }
   return c;
@@ -481,10 +488,11 @@ TEST(FuzzPacker, MultiLineDegenerateSingleLineMatchesPack) {
   Rng rng(campaign_seed(0x1A7Cull));
   for (int trial = 0; trial < trials(2'000); ++trial) {
     MultiLineCase c = random_multi_case(rng, 1, pcfg.budget);
-    std::vector<pcm::LineBuf*> ptrs{&c.lines[0]};
+    pcm::LineBuf line = c.lines[0].view();
+    pcm::LineBuf* ptrs[] = {&line};
     const BatchPackOutcome out =
-        bp.pack_lines({ptrs.data(), 1}, {c.datas.data(), 1}, pcfg);
-    const CountsVec counts = bp.line_counts(c.lines[0], out.reads[0], 0);
+        bp.pack_lines({ptrs, 1}, {c.datas.data(), 1}, pcfg);
+    const CountsVec counts = bp.line_counts(line, out.reads[0], 0);
     const PackResult solo = pack({counts.data(), counts.size()}, pcfg);
     EXPECT_EQ(out.pack.result, solo.result);
     EXPECT_EQ(out.pack.subresult, solo.subresult);
@@ -501,7 +509,7 @@ TEST(FuzzPacker, MultiLineMinimizerShrinksToMinimalCase) {
   const auto fails = [](const MultiLineCase& c) {
     if (c.lines.size() < 2) return false;
     for (std::size_t i = 0; i < c.lines.size(); ++i) {
-      if (c.datas[i].word(0) != c.lines[i].logical(0)) return true;
+      if (c.datas[i].word(0) != c.lines[i].view().logical(0)) return true;
     }
     return false;
   };
@@ -515,8 +523,9 @@ TEST(FuzzPacker, MultiLineMinimizerShrinksToMinimalCase) {
   ASSERT_EQ(minimal.lines.size(), 2u);
   u32 loud_units = 0;
   for (std::size_t i = 0; i < minimal.lines.size(); ++i) {
-    for (u32 u = 0; u < minimal.lines[i].units(); ++u) {
-      if (minimal.datas[i].word(u) != minimal.lines[i].logical(u)) {
+    const pcm::LineBuf line = minimal.lines[i].view();
+    for (u32 u = 0; u < line.units(); ++u) {
+      if (minimal.datas[i].word(u) != line.logical(u)) {
         ++loud_units;
         EXPECT_EQ(u, 0u);  // only the trigger unit survives
       }
@@ -537,7 +546,7 @@ TEST(FuzzPacker, MultiLineMinimizerShrinksToMinimalCase) {
 struct EncCase {
   schemes::SchemeKind skind = schemes::SchemeKind::kDcw;
   encode::EncoderKind ekind = encode::EncoderKind::kFlip;
-  pcm::LineBuf line{pcm::table2_config().geometry.units_per_line()};
+  pcm::LineImage line{pcm::table2_config().geometry.units_per_line()};
   pcm::LogicalLine next{pcm::table2_config().geometry.units_per_line()};
 };
 
@@ -546,9 +555,10 @@ std::string enc_reproducer(const EncCase& c) {
   out << "scheme=" << schemes::scheme_name(c.skind)
       << " encoder=" << encode::encoder_name(c.ekind) << std::hex
       << " cells={";
-  for (u32 u = 0; u < c.line.units(); ++u) {
-    out << (u ? "," : "") << c.line.cell(u) << (c.line.flip(u) ? "F" : "")
-        << "/m" << static_cast<int>(c.line.meta(u));
+  const pcm::LineBuf line = c.line.view();
+  for (u32 u = 0; u < line.units(); ++u) {
+    out << (u ? "," : "") << line.cell(u) << (line.flip(u) ? "F" : "")
+        << "/m" << static_cast<int>(line.meta(u));
   }
   out << "} next={";
   for (u32 u = 0; u < c.next.units(); ++u) {
@@ -570,8 +580,8 @@ bool enc_broken(const EncCase& c) {
         encode::wrap_scheme(make_scheme(c.skind, dev), c.ekind);
     const auto inner = make_scheme(c.skind, dev);
     const auto enc = encode::make_encoder(c.ekind, dev);
-    pcm::LineBuf line = c.line;
-    pcm::LineBuf shadow = c.line;
+    pcm::LineImage line_image = c.line, shadow_image = c.line;
+    pcm::LineBuf line = line_image.view(), shadow = shadow_image.view();
 
     wrapped->plan_write(line, c.next);
     if (!(wrapped->decode_stored(line) == c.next)) return true;
@@ -608,8 +618,9 @@ EncCase minimize_enc(EncCase c,
     progress = false;
     const auto wrapped =
         encode::wrap_scheme(make_scheme(c.skind, dev), c.ekind);
-    const pcm::LogicalLine decoded = wrapped->decode_stored(c.line);
-    for (u32 u = 0; u < c.line.units(); ++u) {
+    const pcm::LineBuf line = c.line.view();
+    const pcm::LogicalLine decoded = wrapped->decode_stored(line);
+    for (u32 u = 0; u < line.units(); ++u) {
       if (c.next.word(u) != decoded.word(u)) {
         EncCase quieter = c;
         quieter.next.set_word(u, decoded.word(u));
@@ -620,11 +631,12 @@ EncCase minimize_enc(EncCase c,
         }
       }
       EncCase flat = c;
-      flat.line.set_cell(u, 0);
-      flat.line.set_flip(u, false);
-      flat.line.set_meta(u, 0);
-      const bool changed = c.line.cell(u) != 0 || c.line.flip(u) ||
-                           c.line.meta(u) != 0;
+      pcm::LineBuf flat_line = flat.line.view();
+      flat_line.set_cell(u, 0);
+      flat_line.set_flip(u, false);
+      flat_line.set_meta(u, 0);
+      const bool changed =
+          line.cell(u) != 0 || line.flip(u) || line.meta(u) != 0;
       if (changed && fails(flat)) {
         c = std::move(flat);
         progress = true;
@@ -657,12 +669,13 @@ EncCase random_enc_case(Rng& rng) {
   c.ekind = kEncoders[rng.next() % 3];
   const auto enc = encode::make_encoder(c.ekind, dev);
   const u64 mmask = low_mask(enc->meta_bits());
+  pcm::LineBuf line = c.line.view();
   for (u32 u = 0; u < units; ++u) {
     u64 cells = rng.next();
     if (rng.chance(0.2)) cells = rng.chance(0.5) ? 0x0ull : ~0x0ull;
-    c.line.set_cell(u, cells & low_mask(bits));
-    c.line.set_flip(u, rng.chance(0.3));
-    c.line.set_meta(u, static_cast<u8>(rng.next() & mmask));
+    line.set_cell(u, cells & low_mask(bits));
+    line.set_flip(u, rng.chance(0.3));
+    line.set_meta(u, static_cast<u8>(rng.next() & mmask));
   }
   // Data classes: all-zero, all-one, random, compressible narrow value,
   // adversarial half-flip of the current stored logical word.
@@ -688,7 +701,7 @@ EncCase random_enc_case(Rng& rng) {
         while (popcount(flips) < bits / 2) {
           flips |= u64{1} << (rng.next() % bits);
         }
-        w = (c.line.logical(u) ^ flips) & low_mask(bits);
+        w = (line.logical(u) ^ flips) & low_mask(bits);
         break;
       }
     }
@@ -717,25 +730,27 @@ TEST(EncodeFuzz, EncodedBatchCampaignMatchesSoloPlans) {
       const auto wrapped =
           encode::wrap_scheme(make_scheme(cases[0].skind, dev),
                               cases[0].ekind);
-      std::vector<pcm::LineBuf> batch_lines, solo_lines;
+      std::vector<pcm::LineImage> batch_lines, solo_lines;
       std::vector<pcm::LogicalLine> datas;
       for (const EncCase& c : cases) {
         batch_lines.push_back(c.line);
         solo_lines.push_back(c.line);
         datas.push_back(c.next);
       }
+      std::vector<pcm::LineBuf> views;
+      for (const auto& l : batch_lines) views.push_back(l.view());
       std::vector<pcm::LineBuf*> ptrs;
-      for (auto& l : batch_lines) ptrs.push_back(&l);
+      for (auto& v : views) ptrs.push_back(&v);
       const schemes::BatchServicePlan bp = wrapped->plan_write_batch(
           {ptrs.data(), ptrs.size()}, {datas.data(), datas.size()});
       if (bp.per_line.size() != cases.size()) return true;
       for (std::size_t i = 0; i < cases.size(); ++i) {
-        const schemes::ServicePlan sp =
-            wrapped->plan_write(solo_lines[i], datas[i]);
+        pcm::LineBuf solo = solo_lines[i].view();
+        const schemes::ServicePlan sp = wrapped->plan_write(solo, datas[i]);
         if (!(batch_lines[i] == solo_lines[i])) return true;
         if (!(bp.per_line[i].programmed == sp.programmed)) return true;
         if (bp.per_line[i].enc.tag_bits != sp.enc.tag_bits) return true;
-        if (!(wrapped->decode_stored(batch_lines[i]) == datas[i])) {
+        if (!(wrapped->decode_stored(views[i]) == datas[i])) {
           return true;
         }
       }

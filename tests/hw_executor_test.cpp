@@ -86,7 +86,8 @@ TEST(HwExecutor, RandomStressAgainstBookkeepingModel) {
   const HwExecutor hw(scheme);
   pcm::PcmArray array(kLineCells);
   Rng rng(99);
-  pcm::LineBuf model(8);  // the simulator's LineBuf bookkeeping
+  pcm::LineImage model_image(8);  // the simulator's line bookkeeping
+  pcm::LineBuf model = model_image.view();
 
   for (int round = 0; round < 100; ++round) {
     pcm::LogicalLine next(8);
@@ -98,7 +99,8 @@ TEST(HwExecutor, RandomStressAgainstBookkeepingModel) {
       }
       next.set_word(i, w);
     }
-    pcm::LineBuf work = model;
+    pcm::LineImage work_image(model);
+    pcm::LineBuf work = work_image.view();
     const schemes::ServicePlan plan = scheme.plan_write(work, next);
     const HwWriteResult r = hw.write_line(array, 0, next);
     // Hardware pulses == plan's programmed bits; state matches.
@@ -107,7 +109,7 @@ TEST(HwExecutor, RandomStressAgainstBookkeepingModel) {
     for (u32 i = 0; i < 8; ++i) {
       ASSERT_EQ(hw.read_line(array, 0).word(i), work.logical(i));
     }
-    model = work;
+    model_image = work_image;
   }
 }
 

@@ -100,6 +100,16 @@ TEST(ConfigValidation, LibraryChecksRunOnLoad) {
   expect_config_error("core.mlp = 0\n", {"core.mlp", "MLP"});
 }
 
+TEST(ConfigValidation, ZeroCoresAndOversizedLinesRejected) {
+  // Both used to pass every check, then abort the run with an uncaught
+  // ContractViolation (the generator's core count, the line's unit count).
+  expect_config_error("sys.cores = 0\n", {"line 1", "sys.cores", ">= 1"});
+  expect_config_error("pcm.line_bytes = 512\n",
+                      {"line 1", "pcm.line_bytes", "at most 32", "256 B"});
+  EXPECT_EQ(parse("pcm.line_bytes = 256\n").pcm.geometry.units_per_line(),
+            pcm::kMaxUnitsPerLine);
+}
+
 TEST(ConfigFile, WriteBatchKeyRemoved) {
   // batch.max_lines is the one key for the multi-line batch size.
   expect_config_error("controller.write_batch = 4\n",
@@ -380,6 +390,16 @@ TEST_F(BenchCli, InconsistentKnobExits2NamingTheFlag) {
               "--dram-mb=0: .*too small");
   EXPECT_EXIT(parse_cli({"--palp=on"}), ::testing::ExitedWithCode(2),
               "--palp=on: takes no value");
+}
+
+TEST_F(BenchCli, ZeroCoresAndOversizedLinesExit2NamingTheFlag) {
+  EXPECT_EXIT(parse_cli({"--sys.cores=0"}), ::testing::ExitedWithCode(2),
+              "--sys.cores=0: sys.cores must be >= 1");
+  EXPECT_EXIT(parse_cli({"--cores=0"}), ::testing::ExitedWithCode(2),
+              "--cores=0: sys.cores must be >= 1");
+  EXPECT_EXIT(parse_cli({"--pcm.line_bytes=512"}),
+              ::testing::ExitedWithCode(2),
+              "--pcm.line_bytes=512: .*at most 32 data units \\(256 B");
 }
 
 TEST_F(BenchCli, OpsWinsOverQuickInEitherOrder) {

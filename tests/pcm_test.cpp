@@ -7,7 +7,9 @@
 #include <bit>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "tw/common/assert.hpp"
 #include "tw/common/rng.hpp"
@@ -79,7 +81,8 @@ TEST(Params, DescribeMentionsKey) {
 
 // ----------------------------------------------------------------- line --
 TEST(Line, LogicalReconstruction) {
-  LineBuf line(8);
+  LineImage line_image(8);
+  LineBuf line = line_image.view();
   line.set_cell(0, 0xABCD);
   line.set_flip(0, false);
   line.set_cell(1, ~u64{0xABCD});
@@ -89,7 +92,8 @@ TEST(Line, LogicalReconstruction) {
 }
 
 TEST(Line, StoreLogicalRoundTrip) {
-  LineBuf line(4);
+  LineImage line_image(4);
+  LineBuf line = line_image.view();
   line.store_logical(2, 0x1234, true);
   EXPECT_EQ(line.cell(2), ~u64{0x1234});
   EXPECT_TRUE(line.flip(2));
@@ -97,14 +101,17 @@ TEST(Line, StoreLogicalRoundTrip) {
 }
 
 TEST(Line, BoundsChecked) {
-  LineBuf line(4);
+  LineImage line_image(4);
+  LineBuf line = line_image.view();
   EXPECT_THROW(line.cell(4), ContractViolation);
-  EXPECT_THROW(LineBuf(0), ContractViolation);
-  EXPECT_THROW(LineBuf(kMaxUnitsPerLine + 1), ContractViolation);
+  EXPECT_THROW(LineImage(0), ContractViolation);
+  EXPECT_THROW(LineImage(kMaxUnitsPerLine + 1), ContractViolation);
+  EXPECT_EQ(LineImage{}.view().units(), 0u);
 }
 
 TEST(Line, FromPhysical) {
-  LineBuf phys(2);
+  LineImage phys_image(2);
+  LineBuf phys = phys_image.view();
   phys.store_logical(0, 42, false);
   phys.store_logical(1, 43, true);
   const LogicalLine logical = LogicalLine::from_physical(phys);
@@ -113,44 +120,117 @@ TEST(Line, FromPhysical) {
 }
 
 TEST(Line, Equality) {
-  LineBuf a(2), b(2);
+  LineImage a_image(2), b_image(2);
+  LineBuf a = a_image.view(), b = b_image.view();
   a.set_cell(0, 5);
   b.set_cell(0, 5);
   EXPECT_EQ(a, b);
+  EXPECT_EQ(a_image, b_image);
   b.set_flip(1, true);
   EXPECT_FALSE(a == b);
+  EXPECT_FALSE(a_image == b_image);
+  EXPECT_FALSE(LineImage(2) == LineImage(3));
 }
 
-TEST(Line, CopiesAreDeepAndMovesEmptyTheSource) {
-  // Inline (64 B) and heap-backed (128 B, 256 B) lines behave alike as
-  // values.
-  for (const u32 units : {kInlineUnitsPerLine, 16u, kMaxUnitsPerLine}) {
+TEST(Line, ImageCopiesAreDeepAndViewCopiesAlias) {
+  for (const u32 units : {1u, kInlineUnitsPerLine, 16u, kMaxUnitsPerLine}) {
     const u32 last = units - 1;
-    LineBuf a(units);
-    a.store_logical(last, 0xABC, true);
-    a.set_meta(last, 3);
+    LineImage a(units);
+    a.view().store_logical(last, 0xABC, true);
+    a.view().set_meta(last, 3);
 
-    LineBuf b = a;
+    // An image copy owns its record: a write to it leaves `a` alone.
+    LineImage b = a;
     EXPECT_EQ(b, a);
-    b.set_cell(last, 1);
-    EXPECT_EQ(a.cell(last), ~u64{0xABC});  // the copy owns its cells
+    b.view().set_cell(last, 1);
+    EXPECT_EQ(a.view().cell(last), ~u64{0xABC});
+    EXPECT_FALSE(b == a);
 
-    LineBuf c(2);
-    c = a;
+    // So does an image taken from a view.
+    const LineImage c(a.view());
     EXPECT_EQ(c, a);
-    const LineBuf& same = c;
-    c = same;  // self-assignment keeps the content
-    EXPECT_EQ(c, a);
+    EXPECT_TRUE(c.view().flip(last));
+    EXPECT_EQ(c.view().meta(last), 3u);
 
-    LineBuf d = std::move(b);
-    EXPECT_EQ(b.units(), 0u);  // NOLINT(bugprone-use-after-move)
-    EXPECT_EQ(d.cell(last), 1u);
-    EXPECT_TRUE(d.flip(last));
-    EXPECT_EQ(d.meta(last), 3u);
-    c = std::move(d);
-    EXPECT_EQ(c.cell(last), 1u);
-    EXPECT_EQ(d.units(), 0u);  // NOLINT(bugprone-use-after-move)
+    // A view copy reads and writes the same record.
+    LineBuf v = a.view();
+    LineBuf w = v;
+    w.set_cell(last, 7);
+    EXPECT_EQ(v.cell(last), 7u);
+    EXPECT_EQ(a.view().cell(last), 7u);
   }
+}
+
+// --------------------------------------------------------- line record --
+// The DataStore keeps every touched line as one record of its arena;
+// LineBuf views it, LineImage owns one. The first-touch kernels (plain and
+// ones-biased, scalar and AVX2) write straight into the records.
+
+static_assert(std::is_trivially_copyable_v<LineBuf>);
+static_assert(std::is_trivially_copyable_v<LineImage>);
+static_assert(sizeof(LineBuf) <= 16);
+
+TEST(LineRecord, StrideIsAlignedAndHoldsEveryUnit) {
+  for (u32 units = 1; units <= kMaxUnitsPerLine; ++units) {
+    const u32 stride = line_record_bytes(units);
+    EXPECT_EQ(stride % 8, 0u) << units;
+    EXPECT_GE(stride, units * 10) << units;
+    EXPECT_LT(stride, units * 10 + 8) << units;
+  }
+  EXPECT_EQ(line_record_bytes(kInlineUnitsPerLine), 80u);
+  EXPECT_EQ(line_record_bytes(kMaxUnitsPerLine), 320u);
+}
+
+TEST(LineRecord, StoreViewAndImageAgreeUnderTheSameWrites) {
+  for (const u32 units : {1u, 3u, 8u, 13u, 16u, kMaxUnitsPerLine}) {
+    for (const double bias : {0.5, 0.3}) {
+      SCOPED_TRACE(testing::Message() << units << " units, bias " << bias);
+      mem::DataStore store(units, 11, bias);
+      Rng rng(units);
+      // Neighbouring records of one chunk, written in turn: a write that
+      // strayed past its record would show in the line before it.
+      std::vector<LineImage> images;
+      for (Addr a = 0; a < 6 * 64; a += 64) {
+        LineBuf line = store.line(a);
+        for (u32 i = 0; i < units; ++i) {  // fresh records: tags clear
+          EXPECT_FALSE(line.flip(i));
+          EXPECT_EQ(line.meta(i), 0u);
+        }
+        LineImage image(line);
+        EXPECT_EQ(image.view(), line);
+        LineBuf mirror = image.view();
+        for (u32 i = 0; i < units; ++i) {
+          const u64 word = rng.next();
+          const bool flip = rng.chance(0.5);
+          const u8 meta = static_cast<u8>(rng.next() & 0xF);
+          for (LineBuf v : {line, mirror}) {
+            v.store_logical(i, word, flip);
+            v.set_meta(i, meta);
+          }
+        }
+        EXPECT_EQ(line, mirror);
+        EXPECT_EQ(LineImage(line), image);
+        images.push_back(image);
+      }
+      for (std::size_t k = 0; k < images.size(); ++k) {
+        EXPECT_EQ(store.line(k * 64), images[k].view()) << "line " << k;
+      }
+    }
+  }
+}
+
+TEST(LineRecord, ViewOutlivesArenaGrowth) {
+  mem::DataStore store(kInlineUnitsPerLine, 5, 0.3);
+  LineBuf first = store.line(0);
+  first.store_logical(7, 0xFEED, true);
+  first.set_meta(7, 9);
+  const LineImage before(first);
+  // Past the first 512-line chunk, several times over.
+  for (Addr a = 64; a < 2048 * 64; a += 64) (void)store.line(a);
+  EXPECT_EQ(store.lines_touched(), 2048u);
+  EXPECT_EQ(LineImage(first), before);
+  EXPECT_EQ(first.logical(7), 0xFEEDu);
+  EXPECT_EQ(store.line(0).cell_words().data(), first.cell_words().data());
 }
 
 // -------------------------------------------------------- logical line --
@@ -220,7 +300,8 @@ TEST(LogicalLine, FromPhysicalRoundTrips) {
   // reconstructs every word, at every width.
   for (const u32 units : {1u, 8u, 9u, kMaxUnitsPerLine}) {
     const LogicalLine want = patterned(units, 4);
-    LineBuf phys(units);
+    LineImage phys_image(units);
+    LineBuf phys = phys_image.view();
     for (u32 i = 0; i < units; ++i) {
       phys.store_logical(i, want.word(i), (i % 3) == 1);
     }
@@ -238,7 +319,7 @@ struct Digest {
   void add_line(const LineBuf& l) {
     for (const u64 w : l.cell_words()) add(w);
     for (const bool f : l.flip_bits()) add(f ? 1 : 0);
-    for (const u8 m : l.meta_tags()) add(m);
+    for (u32 i = 0; i < l.units(); ++i) add(l.meta(i));
   }
 };
 
@@ -305,14 +386,15 @@ TEST(LogicalLine, WideEncodedBatchPlansAsBefore) {
       core::make_scheme(schemes::SchemeKind::kTetris, dev),
       encode::EncoderKind::kWire);
   Rng rng(0xC0DE);
+  std::vector<LineImage> images(kLines, LineImage(kMaxUnitsPerLine));
   std::vector<LineBuf> lines;
   std::vector<LogicalLine> datas;
   for (u32 k = 0; k < kLines; ++k) {
-    LineBuf l(kMaxUnitsPerLine);
+    LineBuf l = images[k].view();
     for (u32 i = 0; i < kMaxUnitsPerLine; ++i) {
       l.store_logical(i, rng.next(), false);
     }
-    lines.push_back(std::move(l));
+    lines.push_back(l);
     datas.push_back(random_line(kMaxUnitsPerLine, rng));
   }
   std::vector<LineBuf*> ptrs;

@@ -13,13 +13,14 @@ namespace {
 
 using schemes::SchemeKind;
 
-pcm::LineBuf random_line(Rng& rng, u32 units, bool random_tags = true) {
-  pcm::LineBuf line(units);
+pcm::LineImage random_line(Rng& rng, u32 units, bool random_tags = true) {
+  pcm::LineImage line_image(units);
+  pcm::LineBuf line = line_image.view();
   for (u32 i = 0; i < units; ++i) {
     line.set_cell(i, rng.next());
     line.set_flip(i, random_tags && rng.chance(0.1));
   }
-  return line;
+  return line_image;
 }
 
 pcm::LogicalLine random_mutation(Rng& rng, const pcm::LineBuf& line,
@@ -45,7 +46,8 @@ TEST_P(SchemeProperty, LogicalDataRoundTrips) {
   const pcm::PcmConfig cfg = pcm::table2_config();
   const auto scheme = core::make_scheme(kind, cfg);
   for (int trial = 0; trial < 50; ++trial) {
-    pcm::LineBuf line = random_line(rng, 8);
+    pcm::LineImage line_image = random_line(rng, 8);
+    pcm::LineBuf line = line_image.view();
     const pcm::LogicalLine next =
         random_mutation(rng, line, rng.uniform() * 0.6);
     scheme->plan_write(line, next);
@@ -63,7 +65,8 @@ TEST_P(SchemeProperty, PlanSane) {
   const pcm::PcmConfig cfg = pcm::table2_config();
   const auto scheme = core::make_scheme(kind, cfg);
   for (int trial = 0; trial < 50; ++trial) {
-    pcm::LineBuf line = random_line(rng, 8);
+    pcm::LineImage line_image = random_line(rng, 8);
+    pcm::LineBuf line = line_image.view();
     const pcm::LogicalLine next = random_mutation(rng, line, 0.15);
     const schemes::ServicePlan p = scheme->plan_write(line, next);
     EXPECT_GE(p.write_units, 0.0);
@@ -89,7 +92,8 @@ TEST_P(SchemeProperty, RewriteSameDataProgramsNothingForDcwFamily) {
   Rng rng(seed ^ 0x5555);
   const pcm::PcmConfig cfg = pcm::table2_config();
   const auto scheme = core::make_scheme(kind, cfg);
-  pcm::LineBuf line = random_line(rng, 8);
+  pcm::LineImage line_image = random_line(rng, 8);
+  pcm::LineBuf line = line_image.view();
   const pcm::LogicalLine next = random_mutation(rng, line, 0.2);
   scheme->plan_write(line, next);
   const schemes::ServicePlan again = scheme->plan_write(line, next);
@@ -112,7 +116,8 @@ TEST_P(SchemeProperty, ProgrammedBitsBounded) {
   for (int trial = 0; trial < 30; ++trial) {
     // Tags start clear: a set tag is a state only flip-capable schemes
     // produce, and un-flipping it costs DCW up to a whole unit of pulses.
-    pcm::LineBuf line = random_line(rng, 8, /*random_tags=*/false);
+    pcm::LineImage line_image = random_line(rng, 8, /*random_tags=*/false);
+    pcm::LineBuf line = line_image.view();
     const pcm::LogicalLine next = random_mutation(rng, line, 0.3);
     u32 logical_distance = 0;
     for (u32 i = 0; i < 8; ++i) {
@@ -154,7 +159,8 @@ TEST_P(GeometryProperty, SchemesHandleGeometry) {
        {SchemeKind::kDcw, SchemeKind::kFlipNWrite, SchemeKind::kTwoStage,
         SchemeKind::kThreeStage, SchemeKind::kTetris}) {
     const auto scheme = core::make_scheme(kind, cfg);
-    pcm::LineBuf line = random_line(rng, units);
+    pcm::LineImage line_image = random_line(rng, units);
+    pcm::LineBuf line = line_image.view();
     const pcm::LogicalLine next = random_mutation(rng, line, 0.1);
     const schemes::ServicePlan p = scheme->plan_write(line, next);
     EXPECT_GT(p.latency, 0u);
@@ -179,8 +185,10 @@ TEST(TetrisVsConventional, NeverMoreWriteUnits) {
   const auto conventional =
       core::make_scheme(SchemeKind::kConventional, cfg);
   for (int trial = 0; trial < 200; ++trial) {
-    pcm::LineBuf line_t = random_line(rng, 8);
-    pcm::LineBuf line_c = line_t;
+    pcm::LineImage line_t_image = random_line(rng, 8);
+    pcm::LineBuf line_t = line_t_image.view();
+    pcm::LineImage line_c_image(line_t);
+    pcm::LineBuf line_c = line_c_image.view();
     const pcm::LogicalLine next =
         random_mutation(rng, line_t, rng.uniform());
     const schemes::ServicePlan pt = tetris->plan_write(line_t, next);
@@ -199,7 +207,8 @@ TEST_P(SchemeProperty, AgreesWithOracle) {
   const pcm::PcmConfig cfg = pcm::table2_config();
   const auto scheme = core::make_scheme(kind, cfg);
   verify::DifferentialChecker checker(*scheme);
-  pcm::LineBuf line = random_line(rng, 8);
+  pcm::LineImage line_image = random_line(rng, 8);
+  pcm::LineBuf line = line_image.view();
   for (int trial = 0; trial < 100; ++trial) {
     const pcm::LogicalLine next =
         random_mutation(rng, line, rng.uniform() * 0.6);
@@ -216,7 +225,8 @@ TEST(TetrisStress, ScheduleAlwaysVerifiesAndMatchesEq5) {
   core::TetrisOptions opts;
   const core::TetrisScheme scheme(cfg, opts);
   for (int trial = 0; trial < 300; ++trial) {
-    pcm::LineBuf line = random_line(rng, 8);
+    pcm::LineImage line_image = random_line(rng, 8);
+    pcm::LineBuf line = line_image.view();
     const pcm::LogicalLine next =
         random_mutation(rng, line, rng.uniform() * 0.7);
     const core::TetrisAnalysis a = scheme.analyze(line, next);

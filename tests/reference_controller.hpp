@@ -327,7 +327,7 @@ class ReferenceController {
 
     Tick service = service_override;
     if (service == 0) {
-      pcm::LineBuf& line = store_.line(phys);
+      pcm::LineBuf line = store_.line(phys);
       const schemes::ServicePlan plan = scheme_.plan_write(line, req.data);
       service = plan.latency;
 
@@ -382,19 +382,21 @@ class ReferenceController {
     const Tick now = sim_.now();
     const u32 bank = map_.flat_bank(physical_of(reqs.front().addr));
 
+    std::vector<pcm::LineBuf> views;
     std::vector<pcm::LineBuf*> lines;
     std::vector<pcm::LogicalLine> datas;
     std::vector<Addr> phys;
+    views.reserve(reqs.size());
     lines.reserve(reqs.size());
     datas.reserve(reqs.size());
     for (const auto& r : reqs) {
       const Addr p = physical_of(r.addr);
       TW_ASSERT(map_.flat_bank(p) == bank);
       phys.push_back(p);
-      (void)store_.line(p);
+      views.push_back(store_.line(p));
       datas.push_back(r.data);
     }
-    for (const Addr p : phys) lines.push_back(&store_.line(p));
+    for (pcm::LineBuf& v : views) lines.push_back(&v);
 
     const schemes::BatchServicePlan batch = scheme_.plan_write_batch(
         {lines.data(), lines.size()}, {datas.data(), datas.size()});
@@ -469,7 +471,7 @@ class ReferenceController {
         (region * (n + 1) + move.to_physical) * map_.line_bytes();
 
     const pcm::LogicalLine content = store_.read_logical(src);
-    pcm::LineBuf& dst_line = store_.line(dst);
+    pcm::LineBuf dst_line = store_.line(dst);
     const schemes::ServicePlan plan = scheme_.plan_write(dst_line, content);
     energy_.add_write(plan.programmed);
     wear_.record(dst, plan.programmed);

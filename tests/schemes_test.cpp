@@ -16,10 +16,11 @@ namespace {
 pcm::PcmConfig cfg() { return pcm::table2_config(); }
 
 /// A line whose cells hold `cell` in every unit, tags clear.
-pcm::LineBuf uniform_line(u32 units, u64 cell) {
-  pcm::LineBuf line(units);
+pcm::LineImage uniform_line(u32 units, u64 cell) {
+  pcm::LineImage line_image(units);
+  pcm::LineBuf line = line_image.view();
   for (u32 i = 0; i < units; ++i) line.set_cell(i, cell);
-  return line;
+  return line_image;
 }
 
 pcm::LogicalLine uniform_data(u32 units, u64 word) {
@@ -97,7 +98,8 @@ TEST(Prep, TotalsIncludeTagPulses) {
 }
 
 TEST(Prep, ApplyPlansUpdatesLine) {
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   const pcm::LogicalLine next = uniform_data(8, 0xFFFF);
   const auto plans = plan_line(line, next, FlipCriterion::kNone, 64);
   apply_plans(line, plans);
@@ -145,7 +147,8 @@ TEST(Ffd, LowerBoundRespected) {
 // --------------------------------------------------------- conventional --
 TEST(Conventional, Equation1) {
   const auto scheme = core::make_scheme(SchemeKind::kConventional, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   const ServicePlan p = scheme->plan_write(line, uniform_data(8, 0xAA));
   EXPECT_EQ(p.latency, 8 * ns(430));  // (N/M) * Tset, no read
   EXPECT_DOUBLE_EQ(p.write_units, 8.0);
@@ -157,7 +160,8 @@ TEST(Conventional, Equation1) {
 // ------------------------------------------------------------------ dcw --
 TEST(Dcw, BaselineTimingWorstCaseButEnergyActual) {
   const auto scheme = core::make_scheme(SchemeKind::kDcw, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next = uniform_data(8, 0);
   next.set_word(0, 0b111);  // change 3 bits total
   const ServicePlan p = scheme->plan_write(line, next);
@@ -170,7 +174,8 @@ TEST(Dcw, BaselineTimingWorstCaseButEnergyActual) {
 
 TEST(Dcw, SilentWriteDetected) {
   const auto scheme = core::make_scheme(SchemeKind::kDcw, cfg());
-  pcm::LineBuf line = uniform_line(8, 0x42);
+  pcm::LineImage line_image = uniform_line(8, 0x42);
+  pcm::LineBuf line = line_image.view();
   const ServicePlan p = scheme->plan_write(line, uniform_data(8, 0x42));
   EXPECT_TRUE(p.silent);
   EXPECT_EQ(p.programmed.total(), 0u);
@@ -178,7 +183,8 @@ TEST(Dcw, SilentWriteDetected) {
 
 TEST(Dcw, StateActuallyUpdated) {
   const auto scheme = core::make_scheme(SchemeKind::kDcw, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   scheme->plan_write(line, uniform_data(8, 0x1234));
   for (u32 i = 0; i < 8; ++i) EXPECT_EQ(line.logical(i), 0x1234u);
 }
@@ -186,7 +192,8 @@ TEST(Dcw, StateActuallyUpdated) {
 // ------------------------------------------------------------------ fnw --
 TEST(Fnw, Equation2) {
   const auto scheme = core::make_scheme(SchemeKind::kFlipNWrite, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   const ServicePlan p = scheme->plan_write(line, uniform_data(8, 0xAA));
   EXPECT_EQ(p.latency, ns(50) + 4 * ns(430));  // Tread + 1/2 (N/M) Tset
   EXPECT_DOUBLE_EQ(p.write_units, 4.0);
@@ -194,7 +201,8 @@ TEST(Fnw, Equation2) {
 
 TEST(Fnw, FlipBoundsProgrammedBits) {
   const auto scheme = core::make_scheme(SchemeKind::kFlipNWrite, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   // All-ones data would change 64 bits/unit; FNW inverts instead.
   const ServicePlan p = scheme->plan_write(line, uniform_data(8, ~u64{0}));
   EXPECT_EQ(p.flipped_units, 8u);
@@ -206,7 +214,8 @@ TEST(Fnw, FlipBoundsProgrammedBits) {
 TEST(Fnw, ContentAwarePacksByActualCurrent) {
   const auto scheme =
       core::make_scheme(SchemeKind::kFlipNWriteActual, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next = uniform_data(8, 0);
   for (u32 i = 0; i < 8; ++i) next.set_word(i, 0b1);  // 1 SET per unit
   const ServicePlan p = scheme->plan_write(line, next);
@@ -218,7 +227,8 @@ TEST(Fnw, ContentAwarePacksByActualCurrent) {
 // --------------------------------------------------------------- 2stage --
 TEST(TwoStage, Equation3) {
   const auto scheme = core::make_scheme(SchemeKind::kTwoStage, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   const ServicePlan p = scheme->plan_write(line, uniform_data(8, 0xAA));
   // (1/K + 1/2L)(N/M) Tset with exact Treset: 8*Treset + 2*Tset.
   EXPECT_EQ(p.latency, 8 * ns(53) + 2 * ns(430));
@@ -228,7 +238,8 @@ TEST(TwoStage, Equation3) {
 
 TEST(TwoStage, WritesEveryCell) {
   const auto scheme = core::make_scheme(SchemeKind::kTwoStage, cfg());
-  pcm::LineBuf line = uniform_line(8, 0x42);
+  pcm::LineImage line_image = uniform_line(8, 0x42);
+  pcm::LineBuf line = line_image.view();
   const ServicePlan p = scheme->plan_write(line, uniform_data(8, 0x42));
   // Table I: 2-stage does NOT reduce energy; all 512 data cells pulsed.
   EXPECT_GE(p.programmed.total(), 512u);
@@ -238,7 +249,8 @@ TEST(TwoStage, WritesEveryCell) {
 // --------------------------------------------------------------- 3stage --
 TEST(ThreeStage, Equation4) {
   const auto scheme = core::make_scheme(SchemeKind::kThreeStage, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   const ServicePlan p = scheme->plan_write(line, uniform_data(8, 0xAA));
   // Tread + (1/2K + 1/2L)(N/M) Tset: read + 4*Treset + 2*Tset.
   EXPECT_EQ(p.latency, ns(50) + 4 * ns(53) + 2 * ns(430));
@@ -248,7 +260,8 @@ TEST(ThreeStage, Equation4) {
 
 TEST(ThreeStage, EnergyReducedLikeDcw) {
   const auto scheme = core::make_scheme(SchemeKind::kThreeStage, cfg());
-  pcm::LineBuf line = uniform_line(8, 0);
+  pcm::LineImage line_image = uniform_line(8, 0);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next = uniform_data(8, 0);
   next.set_word(3, 0xF);
   const ServicePlan p = scheme->plan_write(line, next);
@@ -268,7 +281,8 @@ TEST_P(SchemeOrdering, WriteUnitsFollowThePapersRanking) {
   Rng rng(GetParam());
   const pcm::PcmConfig c = cfg();
 
-  pcm::LineBuf base(8);
+  pcm::LineImage base_image(8);
+  pcm::LineBuf base = base_image.view();
   for (u32 i = 0; i < 8; ++i) base.set_cell(i, rng.next());
   pcm::LogicalLine next(8);
   for (u32 i = 0; i < 8; ++i) {
@@ -283,7 +297,8 @@ TEST_P(SchemeOrdering, WriteUnitsFollowThePapersRanking) {
   }
 
   auto units = [&](SchemeKind kind) {
-    pcm::LineBuf line = base;  // fresh copy per scheme
+    pcm::LineImage line_image(base);  // fresh copy per scheme
+    pcm::LineBuf line = line_image.view();
     return core::make_scheme(kind, c)->plan_write(line, next).write_units;
   };
 

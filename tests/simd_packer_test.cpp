@@ -230,7 +230,8 @@ TEST(SimdPacker, PlanLineMatchesReferenceAtEveryLevel) {
     for (const auto crit : crits) {
       for (const u32 bits : {64u, 33u, 7u, 1u}) {
         for (const u32 units : {1u, 5u, 8u, 32u}) {
-          pcm::LineBuf line(units);
+          pcm::LineImage line_image(units);
+          pcm::LineBuf line = line_image.view();
           pcm::LogicalLine next(units);
           // The all-zero and all-one edges first (both directions).
           for (const u64 w : {u64{0}, ~u64{0}}) {
@@ -330,7 +331,8 @@ TEST(SimdPacker, FullPipelineMatchesReferenceTwentyThousandLines) {
     SCOPED_TRACE(simd::level_name(level));
     Rng rng(0x20CAull);  // same stream per level: identical inputs
     for (const u32 units : {8u, 32u}) {
-      pcm::LineBuf line(units);
+      pcm::LineImage line_image(units);
+      pcm::LineBuf line = line_image.view();
       pcm::LogicalLine next(units);
       for (int trial = 0; trial < 10'000; ++trial) {
         fill_line(rng, line, next);

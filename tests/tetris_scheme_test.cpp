@@ -22,7 +22,8 @@ pcm::LogicalLine data_like(const pcm::LineBuf& line) {
 
 // ------------------------------------------------------------ read stage --
 TEST(ReadStage, CountsTransitionsNotPopulation) {
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   line.set_cell(0, 0b1111);  // old data has 4 ones
   pcm::LogicalLine next(8);
   next.set_word(0, 0b1110);  // clears one bit only
@@ -33,7 +34,8 @@ TEST(ReadStage, CountsTransitionsNotPopulation) {
 }
 
 TEST(ReadStage, FlipBoundsCounts) {
-  pcm::LineBuf line(8);          // all-zero cells
+  pcm::LineImage line_image(8);          // all-zero cells
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   next.set_word(2, ~u64{0});     // would SET all 64 bits -> flips
   const ReadStageResult r = read_stage(line, next, 64);
@@ -44,7 +46,8 @@ TEST(ReadStage, FlipBoundsCounts) {
 }
 
 TEST(ReadStage, TotalsSumUnits) {
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   next.set_word(0, 0b111);
   next.set_word(1, 0b1);
@@ -58,10 +61,12 @@ TEST(ReadStage, TotalsSumUnits) {
 TEST(TetrisScheme, LatencyComposition) {
   TetrisOptions opts;
   const TetrisScheme scheme(cfg(), opts);
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   next.set_word(0, 0b1011);  // 3 SETs in one unit -> result=1, subresult=0
-  pcm::LineBuf work = line;
+  pcm::LineImage work_image(line);
+  pcm::LineBuf work = work_image.view();
   const schemes::ServicePlan p = scheme.plan_write(work, next);
   EXPECT_EQ(p.latency, ns(50) + opts.analysis_latency() + ns(430));
   EXPECT_DOUBLE_EQ(p.write_units, 1.0);
@@ -72,7 +77,8 @@ TEST(TetrisScheme, AnalysisOverheadConfigurable) {
   TetrisOptions opts;
   opts.analysis_cycles = 0;
   const TetrisScheme scheme(cfg(), opts);
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   next.set_word(0, 1);
   const schemes::ServicePlan p = scheme.plan_write(line, next);
@@ -81,9 +87,11 @@ TEST(TetrisScheme, AnalysisOverheadConfigurable) {
 
 TEST(TetrisScheme, SilentWriteCostsReadAndAnalysisOnly) {
   const TetrisScheme scheme(cfg());
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   const pcm::LogicalLine next = data_like(line);
-  pcm::LineBuf work = line;
+  pcm::LineImage work_image(line);
+  pcm::LineBuf work = work_image.view();
   const schemes::ServicePlan p = scheme.plan_write(work, next);
   EXPECT_TRUE(p.silent);
   EXPECT_DOUBLE_EQ(p.write_units, 0.0);
@@ -96,7 +104,8 @@ TEST(TetrisScheme, PaperRangeOnWorkloadLikeData) {
   Rng rng(42);
   tw::stats::Accumulator units;
   for (int trial = 0; trial < 300; ++trial) {
-    pcm::LineBuf line(8);
+    pcm::LineImage line_image(8);
+    pcm::LineBuf line = line_image.view();
     for (u32 i = 0; i < 8; ++i) line.set_cell(i, rng.next());
     pcm::LogicalLine next = data_like(line);
     for (u32 i = 0; i < 8; ++i) {
@@ -108,7 +117,8 @@ TEST(TetrisScheme, PaperRangeOnWorkloadLikeData) {
       }
       next.set_word(i, w);
     }
-    pcm::LineBuf work = line;
+    pcm::LineImage work_image(line);
+    pcm::LineBuf work = work_image.view();
     units.add(scheme.plan_write(work, next).write_units);
   }
   EXPECT_GE(units.mean(), 0.9);
@@ -118,7 +128,8 @@ TEST(TetrisScheme, PaperRangeOnWorkloadLikeData) {
 TEST(TetrisScheme, StateUpdateMatchesLogicalData) {
   const TetrisScheme scheme(cfg());
   Rng rng(17);
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   for (u32 i = 0; i < 8; ++i) line.set_cell(i, rng.next());
   pcm::LogicalLine next(8);
   for (u32 i = 0; i < 8; ++i) next.set_word(i, rng.next());
@@ -132,7 +143,8 @@ TEST(TetrisScheme, SelfCheckModeVerifiesSchedules) {
   const TetrisScheme scheme(cfg(), opts);
   Rng rng(5);
   for (int trial = 0; trial < 50; ++trial) {
-    pcm::LineBuf line(8);
+    pcm::LineImage line_image(8);
+    pcm::LineBuf line = line_image.view();
     for (u32 i = 0; i < 8; ++i) line.set_cell(i, rng.next());
     pcm::LogicalLine next(8);
     for (u32 i = 0; i < 8; ++i) {
@@ -145,7 +157,8 @@ TEST(TetrisScheme, SelfCheckModeVerifiesSchedules) {
 
 TEST(TetrisScheme, AnalyzeExposesPackDetails) {
   const TetrisScheme scheme(cfg());
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   next.set_word(0, 0b111);
   next.set_word(1, 0b11);
@@ -161,7 +174,8 @@ TEST(TetrisScheme, NonGcpChargesWorstChip) {
   pcm::PcmConfig c = cfg();
   c.power.global_charge_pump = false;
   const TetrisScheme scheme(c);
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   // 8 SETs all inside chip 0's 16-bit slice of unit 0.
   next.set_word(0, 0x00FF);
@@ -172,7 +186,8 @@ TEST(TetrisScheme, NonGcpChargesWorstChip) {
 
 TEST(TetrisScheme, GcpUsesTrueDemand) {
   const TetrisScheme scheme(cfg());
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   next.set_word(0, 0x00FF);
   const TetrisAnalysis a = scheme.analyze(line, next);
@@ -188,7 +203,8 @@ TEST(TetrisScheme, AlwaysAtLeastAsGoodAsThreeStageActual) {
   TetrisOptions opts;
   opts.analysis_cycles = 0;  // compare pure write phases
   for (int trial = 0; trial < 200; ++trial) {
-    pcm::LineBuf base(8);
+    pcm::LineImage base_image(8);
+    pcm::LineBuf base = base_image.view();
     for (u32 i = 0; i < 8; ++i) base.set_cell(i, rng.next());
     pcm::LogicalLine next = data_like(base);
     for (u32 i = 0; i < 8; ++i) {
@@ -198,7 +214,8 @@ TEST(TetrisScheme, AlwaysAtLeastAsGoodAsThreeStageActual) {
         w = with_bit(w, static_cast<u32>(rng.below(64)), rng.chance(0.5));
       next.set_word(i, w);
     }
-    pcm::LineBuf l1 = base, l2 = base;
+    pcm::LineImage l1_image(base), l2_image(base);
+    pcm::LineBuf l1 = l1_image.view(), l2 = l2_image.view();
     const auto tetris = core::make_scheme(schemes::SchemeKind::kTetris, c,
                                           opts);
     const auto three =

@@ -22,13 +22,14 @@ namespace {
 
 using schemes::SchemeKind;
 
-pcm::LineBuf random_line(Rng& rng, u32 units) {
-  pcm::LineBuf line(units);
+pcm::LineImage random_line(Rng& rng, u32 units) {
+  pcm::LineImage line_image(units);
+  pcm::LineBuf line = line_image.view();
   for (u32 i = 0; i < units; ++i) {
     line.set_cell(i, rng.next());
     line.set_flip(i, rng.chance(0.1));
   }
-  return line;
+  return line_image;
 }
 
 pcm::LogicalLine random_mutation(Rng& rng, const pcm::LineBuf& line,
@@ -55,7 +56,8 @@ TEST_P(DifferentialAllSchemes, CornerCases) {
   verify::DifferentialChecker checker(*scheme);
   const u32 units = cfg.geometry.units_per_line();
 
-  pcm::LineBuf line(units);  // fresh line: all zeros, tags clear
+  pcm::LineImage line_image(units);  // fresh line: all zeros, tags clear
+  pcm::LineBuf line = line_image.view();
   auto write = [&](auto word_of) {
     pcm::LogicalLine next(units);
     for (u32 i = 0; i < units; ++i) next.set_word(i, word_of(i));
@@ -91,9 +93,10 @@ TEST_P(DifferentialAllSchemes, TenThousandRandomPairs) {
   const u32 units = cfg.geometry.units_per_line();
   Rng rng(0xDEADBEEF ^ static_cast<u64>(GetParam()));
 
-  pcm::LineBuf line = random_line(rng, units);
+  pcm::LineImage line_image = random_line(rng, units);
+  pcm::LineBuf line = line_image.view();
   for (int i = 0; i < 10'000; ++i) {
-    if (rng.chance(0.05)) line = random_line(rng, units);
+    if (rng.chance(0.05)) line_image = random_line(rng, units);
     const double rate = rng.chance(0.1) ? 1.0 : rng.uniform() * 0.7;
     const pcm::LogicalLine next = random_mutation(rng, line, rate);
     checker.check_write(line, next);
@@ -125,7 +128,8 @@ TEST(DifferentialGeometry, SweepsLineSizeAndBudget) {
       for (const auto kind : schemes::kPaperSchemes) {
         const auto scheme = core::make_scheme(kind, cfg);
         verify::DifferentialChecker checker(*scheme);
-        pcm::LineBuf line = random_line(rng, units);
+        pcm::LineImage line_image = random_line(rng, units);
+        pcm::LineBuf line = line_image.view();
         for (int i = 0; i < 50; ++i) {
           const pcm::LogicalLine next =
               random_mutation(rng, line, rng.uniform() * 0.5);
@@ -142,7 +146,8 @@ TEST(Oracle, SilentAndWorstCaseClassification) {
   const verify::OracleScheme oracle(
       cfg, {schemes::FlipCriterion::kNone,
             schemes::PulsePolicy::kChangedCells, false});
-  pcm::LineBuf line(8);
+  pcm::LineImage line_image(8);
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
 
   // Nothing changes: silent, zero envelope floor, zero energy.
@@ -170,7 +175,8 @@ TEST(Oracle, PresetBackgroundAccounting) {
   const verify::OracleScheme oracle(
       cfg, {schemes::FlipCriterion::kNone, schemes::PulsePolicy::kResetOnly,
             false});
-  pcm::LineBuf line(8);  // all cells 0, tags clear
+  pcm::LineImage line_image(8);  // all cells 0, tags clear
+  pcm::LineBuf line = line_image.view();
   pcm::LogicalLine next(8);
   for (u32 i = 0; i < 8; ++i) next.set_word(i, ~u64{0});  // no zero bits
 
@@ -250,7 +256,8 @@ void expect_mutant_caught() {
   const Mutant mutant(cfg);
   verify::DifferentialChecker checker(mutant);
   Rng rng(7);
-  pcm::LineBuf line = random_line(rng, 8);
+  pcm::LineImage line_image = random_line(rng, 8);
+  pcm::LineBuf line = line_image.view();
   const pcm::LogicalLine next = random_mutation(rng, line, 0.3);
   EXPECT_THROW(checker.check_write(line, next), verify::VerifyError);
 }
@@ -372,7 +379,8 @@ TEST(InvariantMonitor, ProductionSchedulesAndTracesPass) {
       core::PackerConfig{cfg.k(), cfg.l(), cfg.bank_power_budget()},
       cfg.timing);
   for (int i = 0; i < 500; ++i) {
-    const pcm::LineBuf line = random_line(rng, 8);
+    pcm::LineImage line_image = random_line(rng, 8);
+    const pcm::LineBuf line = line_image.view();
     const pcm::LogicalLine next =
         random_mutation(rng, line, rng.uniform() * 0.8);
     const core::TetrisAnalysis a = scheme.analyze(line, next);
@@ -438,7 +446,8 @@ TEST(VerifyEnv, FlagArmsTetrisSelfCheck) {
   // A write under self-check mode still completes (and re-verifies its
   // own schedule through verify_pack + the FSM model en route).
   Rng rng(3);
-  pcm::LineBuf line = random_line(rng, 8);
+  pcm::LineImage line_image = random_line(rng, 8);
+  pcm::LineBuf line = line_image.view();
   const pcm::LogicalLine next = random_mutation(rng, line, 0.4);
   const schemes::ServicePlan p = armed.plan_write(line, next);
   EXPECT_GT(p.latency, 0u);

@@ -144,7 +144,7 @@ TEST_P(Fig3Calibration, MeasuredTransitionsMatchProfile) {
     TraceOp op = gen.next(0);
     if (!op.is_write) continue;
     const pcm::LogicalLine next = gen.make_write_data(op.addr, store, 0);
-    pcm::LineBuf& line = store.line(op.addr);
+    pcm::LineBuf line = store.line(op.addr);
     const core::ReadStageResult rs = core::read_stage(line, next, 64);
     for (const auto& c : rs.counts) {
       // Exclude the tag pulse to mirror Fig. 3's per-data-unit counts.
@@ -337,7 +337,7 @@ u64 generator_stream_hash(ContentClass content, u32 line_bytes) {
       const pcm::LogicalLine data = gen.make_write_data(op.addr, store, core);
       for (u32 u = 0; u < g.units_per_line(); ++u) h.add(data.word(u));
       if (op.is_write) {
-        pcm::LineBuf& line = store.line(op.addr);
+        pcm::LineBuf line = store.line(op.addr);
         for (u32 u = 0; u < g.units_per_line(); ++u) {
           line.set_cell(u, data.word(u));
         }
