@@ -4,10 +4,11 @@
 // Holds the *physical* line state (cell words + flip tags) for every line
 // ever touched. Untouched lines are materialized on first access with
 // deterministic pseudo-random content derived from (seed, line address),
-// so simulations are reproducible regardless of access order. Unbiased
-// content takes one SplitMix64 draw per cell word; ones-biased content
-// (zero-rich profiles) takes one draw per bit, computed four at a time by
-// the simd::biased_words kernel.
+// so simulations are reproducible regardless of access order. The ones
+// bias is rounded to 16 bits, q = round(p * 2^16), and each cell word is
+// built from at most 16 SplitMix64 draws, one per bit of q from its lowest
+// set bit up: unbiased content (q = 2^15) takes one draw per word, and
+// biases 0 and 1 take none.
 //
 // Storage is a FlatIndexMap (open-addressing, no per-entry allocation)
 // over an arena of line records (pcm::line_record_bytes each) in chunks
@@ -31,7 +32,7 @@ class DataStore {
   /// deterministic first-touch content; `ones_bias` is the probability
   /// that a first-touch cell holds '1' (SET-dominant workloads start
   /// zero-rich, see WorkloadProfile::initial_ones_fraction); it must lie
-  /// in [0, 1].
+  /// in [0, 1] and is rounded to a multiple of 2^-16.
   DataStore(u32 units_per_line, u64 seed, double ones_bias = 0.5);
 
   /// View of a line's physical state (materialized on first touch). The
@@ -79,8 +80,7 @@ class DataStore {
   u32 units_;
   u32 stride_;     ///< bytes per record: pcm::line_record_bytes(units_)
   u64 seed_;
-  bool biased_;    ///< ones_bias != 0.5: one draw per bit, not per word
-  u64 threshold_;  ///< a biased draw <= this makes the bit '1'
+  u32 ones_q16_;  ///< round(ones_bias * 2^16): a cell's odds of '1'
   const void* decoder_ctx_ = nullptr;
   Decoder decoder_fn_ = nullptr;
   FlatIndexMap index_;

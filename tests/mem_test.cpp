@@ -96,7 +96,7 @@ TEST(DataStore, RejectsBiasOutsideUnitInterval) {
   for (Addr a = 0; a < 64 * 16; a += 64) {
     for (u32 i = 0; i < 8; ++i) EXPECT_EQ(ones.line(a).cell(i), ~u64{0});
   }
-  // Bias 0 keeps only draws equal to 0: in practice all zeros.
+  // Bias 0: every first-touch cell is all zeros.
   DataStore zeros(8, 1, 0.0);
   for (Addr a = 0; a < 64 * 16; a += 64) {
     for (u32 i = 0; i < 8; ++i) EXPECT_EQ(zeros.line(a).cell(i), 0u);

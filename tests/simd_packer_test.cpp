@@ -404,8 +404,8 @@ TEST(SimdPacker, BiasedWordsKernelMatchesScalar) {
 
 TEST(SimdPacker, BiasedFirstTouchContentLocked) {
   // DataStore's zero-rich first-touch content at every SIMD level. The
-  // hash was recorded with the per-bit scalar loop that predates the
-  // biased_words kernel, so a mismatch means the content changed.
+  // hash was recorded with the 16-bit binary-expansion sampler, so a
+  // mismatch means the content changed.
   LevelGuard guard;
   for (const simd::Level level : levels_under_test()) {
     simd::set_level(level);
@@ -418,7 +418,7 @@ TEST(SimdPacker, BiasedFirstTouchContentLocked) {
         h = SplitMix64(h ^ buf.cell(u)).next();
       }
     }
-    EXPECT_EQ(h, 0x5E76FBD9B0A9DD4Full);
+    EXPECT_EQ(h, 0xD5EC275729D1B682ull);
   }
 }
 
