@@ -149,75 +149,6 @@ __attribute__((target("avx2"))) u32 first_fit_avx2(const u32* power, u32 n,
   return n;
 }
 
-namespace {
-
-/// Low 64 bits of each lane's product with a 64-bit constant, from three
-/// 32x32->64 multiplies: lo*lo + ((hi*lo + lo*hi) << 32).
-__attribute__((target("avx2"))) inline __m256i mul_lo_epi64(__m256i a,
-                                                            u64 c) {
-  const __m256i c_lo = _mm256_set1_epi64x(static_cast<long long>(c));
-  const __m256i c_hi = _mm256_set1_epi64x(static_cast<long long>(c >> 32));
-  const __m256i lolo = _mm256_mul_epu32(a, c_lo);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), c_lo),
-                       _mm256_mul_epu32(a, c_hi));
-  return _mm256_add_epi64(lolo, _mm256_slli_epi64(cross, 32));
-}
-
-/// splitmix_output of each lane.
-__attribute__((target("avx2"))) inline __m256i splitmix_output_epi64(
-    __m256i z) {
-  z = mul_lo_epi64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
-                   0xBF58476D1CE4E5B9ull);
-  z = mul_lo_epi64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
-                   0x94D049BB133111EBull);
-  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-}
-
-/// Four bits, lane j set iff lane j of `draws` <= threshold (unsigned):
-/// flipping the sign bits turns the signed greater-than into unsigned.
-__attribute__((target("avx2"))) inline u64 le_bits(__m256i draws,
-                                                   __m256i threshold_flipped,
-                                                   __m256i sign) {
-  const __m256i gt = _mm256_cmpgt_epi64(_mm256_xor_si256(draws, sign),
-                                        threshold_flipped);
-  return ~static_cast<u64>(_mm256_movemask_pd(_mm256_castsi256_pd(gt))) &
-         0xF;
-}
-
-}  // namespace
-
-__attribute__((target("avx2"))) void biased_words_avx2(u64 seed, u32 units,
-                                                       u64 threshold,
-                                                       u64* out) {
-  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(
-      u64{1} << 63));
-  const __m256i thr = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(threshold)), sign);
-  // Two vectors of four lanes in flight: states of draws k+1..k+4 and
-  // k+5..k+8, stepped by 8 draws.
-  const __m256i step =
-      _mm256_set1_epi64x(static_cast<long long>(8 * kSplitMixGamma));
-  __m256i lo = _mm256_setr_epi64x(
-      static_cast<long long>(seed + 1 * kSplitMixGamma),
-      static_cast<long long>(seed + 2 * kSplitMixGamma),
-      static_cast<long long>(seed + 3 * kSplitMixGamma),
-      static_cast<long long>(seed + 4 * kSplitMixGamma));
-  __m256i hi = _mm256_add_epi64(
-      lo, _mm256_set1_epi64x(static_cast<long long>(4 * kSplitMixGamma)));
-  for (u32 i = 0; i < units; ++i) {
-    u64 w = 0;
-    for (u32 b = 0; b < 64; b += 8) {
-      const u64 bits_lo = le_bits(splitmix_output_epi64(lo), thr, sign);
-      const u64 bits_hi = le_bits(splitmix_output_epi64(hi), thr, sign);
-      w |= (bits_lo | (bits_hi << 4)) << b;
-      lo = _mm256_add_epi64(lo, step);
-      hi = _mm256_add_epi64(hi, step);
-    }
-    out[i] = w;
-  }
-}
-
 #else  // !TW_SIMD_X86: AVX2 entry points delegate to the reference kernels.
 
 void popcount_each_avx2(const u64* words, std::size_t n, u32* out) {
@@ -231,10 +162,6 @@ void transition_counts_avx2(const u64* old_cells, const u64* new_cells,
 
 u32 first_fit_avx2(const u32* power, u32 n, u32 limit) {
   return first_fit_scalar(power, n, limit);
-}
-
-void biased_words_avx2(u64 seed, u32 units, u64 threshold, u64* out) {
-  biased_words_scalar(seed, units, threshold, out);
 }
 
 #endif  // TW_SIMD_X86

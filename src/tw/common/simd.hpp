@@ -3,11 +3,10 @@
 //
 // The packer and the schemes' read stages reduce to three primitives:
 // per-word popcounts, per-word SET/RESET transition counts, and a
-// first-fit scan over a slot-power array. A fourth, biased_words, draws
-// the ones-biased first-touch content of a DataStore line. Each has a
-// portable scalar implementation (the reference semantics) and an AVX2
-// implementation that must be *bit-identical* — same outputs for every
-// input, checked exhaustively by tests/simd_packer_test.cpp. The active
+// first-fit scan over a slot-power array. Each has a portable scalar
+// implementation (the reference semantics) and an AVX2 implementation
+// that must be *bit-identical* — same outputs for every input, checked
+// exhaustively by tests/simd_packer_test.cpp. The active
 // implementation is chosen once per process from the TW_SIMD environment
 // variable (auto | scalar | avx2, default auto = best supported ISA) and
 // can be overridden programmatically by tests via set_level().
@@ -15,7 +14,6 @@
 #include <bit>
 #include <cstddef>
 
-#include "tw/common/rng.hpp"
 #include "tw/common/types.hpp"
 
 namespace tw::simd {
@@ -115,33 +113,6 @@ inline u32 first_fit(const u32* power, u32 n, u32 limit, Level level) {
     return first_fit_avx2(power, n, limit);
   }
   return first_fit_scalar(power, n, limit);
-}
-
-/// Ones-biased random words: bit b of out[i] is 1 iff draw 64*i + b + 1
-/// of a SplitMix64 stream seeded with `seed` is <= threshold, i.e.
-///   splitmix_output(seed + (64*i + b + 1) * kSplitMixGamma) <= threshold.
-/// DataStore's first-touch content for zero-rich profiles (threshold =
-/// bias * (2^64 - 1)). The AVX2 version hashes four counter-based lanes
-/// per step instead of 64 sequential draws per word.
-inline void biased_words_scalar(u64 seed, u32 units, u64 threshold,
-                                u64* out) {
-  SplitMix64 sm(seed);
-  for (u32 i = 0; i < units; ++i) {
-    u64 w = 0;
-    for (u32 b = 0; b < 64; ++b) {
-      w |= u64{sm.next() <= threshold} << b;
-    }
-    out[i] = w;
-  }
-}
-void biased_words_avx2(u64 seed, u32 units, u64 threshold, u64* out);
-inline void biased_words(u64 seed, u32 units, u64 threshold, u64* out,
-                         Level level) {
-  if (level == Level::kAvx2) {
-    biased_words_avx2(seed, units, threshold, out);
-  } else {
-    biased_words_scalar(seed, units, threshold, out);
-  }
 }
 
 }  // namespace tw::simd
