@@ -37,8 +37,8 @@ void DataStore::materialize(Addr line_addr, u64* cells) const {
   const u32 low = static_cast<u32>(std::countr_zero(ones_q16_));
   SplitMix64 sm(line_seed);
   for (u32 i = 0; i < units_; ++i) {
-    u64 w = fill;
-    for (u32 b = low; b < 16; ++b) {
+    u64 w = low < 16 ? sm.next() : fill;  // the lowest set bit: 0 | r
+    for (u32 b = low + 1; b < 16; ++b) {
       const u64 r = sm.next();
       w = (ones_q16_ >> b) & 1 ? w | r : w & r;
     }
