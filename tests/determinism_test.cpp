@@ -143,8 +143,8 @@ TEST(Determinism, SimdLevelInvariantAcrossBatchModes) {
   // this closes the loop at the system level: full runs under the scalar
   // fallback and under AVX2 must produce identical metrics, at both
   // batch.max_lines = 1 (per-line packing) and 4 (multi-line Tetris),
-  // and regardless of thread count. Zero-rich canneal also takes the
-  // biased first-touch content kernel.
+  // and regardless of thread count. Zero-rich canneal adds cells that
+  // pack over ones-biased first-touch content.
   if (!simd::avx2_supported()) GTEST_SKIP() << "AVX2 not supported";
   const simd::Level saved = simd::active_level();
   for (const u32 max_lines : {1u, 4u}) {

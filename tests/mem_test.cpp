@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tw/common/assert.hpp"
 #include "tw/common/rng.hpp"
 #include "tw/core/factory.hpp"
 #include "tw/mem/controller.hpp"
 #include "tw/sim/simulator.hpp"
+#include "tw/workload/profiles.hpp"
 
 namespace tw::mem {
 namespace {
@@ -91,16 +94,71 @@ TEST(DataStore, OnesBiasShapesContent) {
 TEST(DataStore, RejectsBiasOutsideUnitInterval) {
   EXPECT_THROW(DataStore(8, 1, -0.01), ContractViolation);
   EXPECT_THROW(DataStore(8, 1, 1.01), ContractViolation);
-  // Bias 1 is legal: every first-touch cell is all ones.
-  DataStore ones(8, 1, 1.0);
-  for (Addr a = 0; a < 64 * 16; a += 64) {
-    for (u32 i = 0; i < 8; ++i) EXPECT_EQ(ones.line(a).cell(i), ~u64{0});
+}
+
+/// The first-touch SplitMix64 seed of `line_addr` in a store seeded with
+/// `seed` (DataStore::materialize's hash).
+u64 line_seed(u64 seed, Addr line_addr) {
+  return seed ^ (line_addr * 0x9E3779B97F4A7C15ull) ^ line_addr;
+}
+
+TEST(DataStore, UnbiasedIsOneSplitMixDrawPerWord) {
+  for (const u32 units : {1u, 8u, 32u}) {
+    DataStore store(units, 77);
+    for (Addr a = 0; a < 64 * 64; a += 64) {
+      SplitMix64 sm(line_seed(77, a));
+      const pcm::LineBuf line = store.line(a);
+      for (u32 i = 0; i < units; ++i) {
+        ASSERT_EQ(line.cell(i), sm.next())
+            << units << " units, line " << a << ", word " << i;
+      }
+    }
   }
-  // Bias 0: every first-touch cell is all zeros.
-  DataStore zeros(8, 1, 0.0);
-  for (Addr a = 0; a < 64 * 16; a += 64) {
-    for (u32 i = 0; i < 8; ++i) EXPECT_EQ(zeros.line(a).cell(i), 0u);
+}
+
+TEST(DataStore, BiasZeroAndOneAreConstant) {
+  for (const u32 units : {1u, 8u, 32u}) {
+    DataStore zeros(units, 1, 0.0), ones(units, 1, 1.0);
+    for (Addr a = 0; a < 64 * 16; a += 64) {
+      for (u32 i = 0; i < units; ++i) {
+        EXPECT_EQ(zeros.line(a).cell(i), 0u);
+        EXPECT_EQ(ones.line(a).cell(i), ~u64{0});
+      }
+    }
   }
+}
+
+TEST(DataStore, OnesShareMatchesSixteenBitBiasOfEveryProfile) {
+  // Each cell is '1' with probability round(p * 2^16) / 2^16, bits
+  // independent: over 10^4 lines the share lies within 4 sigma of it.
+  constexpr u32 kLines = 10'000;
+  constexpr double kBits = kLines * 8 * 64.0;
+  for (const auto& profile : workload::parsec_profiles()) {
+    const double p = profile.initial_ones_fraction;
+    const double q = std::round(p * 65536.0) / 65536.0;
+    DataStore store(8, 2024, p);
+    u64 ones = 0;
+    for (Addr a = 0; a < u64{kLines} * 64; a += 64) {
+      const pcm::LineBuf line = store.line(a);
+      for (u32 i = 0; i < 8; ++i) ones += popcount(line.cell(i));
+    }
+    const double sigma = std::sqrt(q * (1.0 - q) / kBits);
+    EXPECT_NEAR(ones / kBits, q, 4.0 * sigma) << profile.name << " p=" << p;
+  }
+}
+
+TEST(DataStore, BiasedFirstTouchContentLocked) {
+  // Zero-rich first-touch content. The hash was recorded with the 16-bit
+  // binary-expansion sampler, so a mismatch means the content changed.
+  DataStore store(8, 42, 0.35);
+  u64 h = 0x243F6A8885A308D3ull;
+  for (Addr line = 0; line < 1000; ++line) {
+    const pcm::LineBuf buf = store.line(line * 64);
+    for (u32 u = 0; u < buf.units(); ++u) {
+      h = SplitMix64(h ^ buf.cell(u)).next();
+    }
+  }
+  EXPECT_EQ(h, 0xD5EC275729D1B682ull);
 }
 
 TEST(DataStore, LogicalViewHonorsTags) {

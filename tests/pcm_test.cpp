@@ -163,8 +163,8 @@ TEST(Line, ImageCopiesAreDeepAndViewCopiesAlias) {
 
 // --------------------------------------------------------- line record --
 // The DataStore keeps every touched line as one record of its arena;
-// LineBuf views it, LineImage owns one. The first-touch kernels (plain and
-// ones-biased, scalar and AVX2) write straight into the records.
+// LineBuf views it, LineImage owns one. First-touch content, plain or
+// ones-biased, is written straight into the records.
 
 static_assert(std::is_trivially_copyable_v<LineBuf>);
 static_assert(std::is_trivially_copyable_v<LineImage>);

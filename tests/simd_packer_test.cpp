@@ -17,7 +17,6 @@
 #include "tw/common/simd.hpp"
 #include "tw/core/packer.hpp"
 #include "tw/core/read_stage.hpp"
-#include "tw/mem/data_store.hpp"
 #include "tw/pcm/line.hpp"
 #include "tw/schemes/prep.hpp"
 
@@ -355,28 +354,6 @@ TEST(SimdPacker, FullPipelineMatchesReferenceTwentyThousandLines) {
         schemes::apply_plans(line, {r.plans.data(), r.plans.size()});
       }
     }
-  }
-}
-
-// ---- First-touch content -------------------------------------------------
-
-TEST(SimdPacker, BiasedFirstTouchContentLocked) {
-  // DataStore's zero-rich first-touch content at every SIMD level. The
-  // hash was recorded with the 16-bit binary-expansion sampler, so a
-  // mismatch means the content changed.
-  LevelGuard guard;
-  for (const simd::Level level : levels_under_test()) {
-    simd::set_level(level);
-    SCOPED_TRACE(simd::level_name(level));
-    mem::DataStore store(8, 42, 0.35);
-    u64 h = 0x243F6A8885A308D3ull;
-    for (Addr line = 0; line < 1000; ++line) {
-      const pcm::LineBuf& buf = store.line(line * 64);
-      for (u32 u = 0; u < buf.units(); ++u) {
-        h = SplitMix64(h ^ buf.cell(u)).next();
-      }
-    }
-    EXPECT_EQ(h, 0xD5EC275729D1B682ull);
   }
 }
 
