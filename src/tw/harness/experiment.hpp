@@ -274,7 +274,8 @@ inline std::string differing_metrics(const RunMetrics& a,
   std::string out;
   for (const MetricDef& m : kMetrics) {
     if (m.get(a) == m.get(b)) continue;
-    out += (out.empty() ? "" : " ") + std::string(m.name);
+    if (!out.empty()) out += ' ';
+    out += m.name;
   }
   return out;
 }

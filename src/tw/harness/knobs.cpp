@@ -57,7 +57,8 @@ template <class E>
 std::string spelling(const Names<E>& names) {
   std::string s;
   for (const auto& [name, e] : names) {
-    s += (s.empty() ? "" : "|") + std::string(name);
+    if (!s.empty()) s += '|';
+    s += name;
   }
   return s;
 }
