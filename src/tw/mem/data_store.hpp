@@ -80,7 +80,7 @@ class DataStore {
   u32 units_;
   u32 stride_;     ///< bytes per record: pcm::line_record_bytes(units_)
   u64 seed_;
-  u32 ones_q16_;  ///< round(ones_bias * 2^16): a cell's odds of '1'
+  u32 ones_q16_;  ///< round(ones_bias * 2^16): P(cell is '1') in 2^-16 units
   const void* decoder_ctx_ = nullptr;
   Decoder decoder_fn_ = nullptr;
   FlatIndexMap index_;
